@@ -29,7 +29,6 @@ import random
 import sys
 import time
 from collections import Counter
-from concurrent import futures
 from fractions import Fraction
 
 from .clifford import (
@@ -108,6 +107,7 @@ from .rootdata import (
     z_eps,
 )
 from .spinrep import (
+    _action_matrix,
     act,
     fock_basis,
     half_spin_matrix,
@@ -268,20 +268,6 @@ def _sim_factor(m, gram):
                 c = lhs.rows[i][j] / gram.rows[i][j]
                 return c if lhs == gram * c else None
     return None
-
-
-def _act_matrix(c):
-    """Module action matrix of an arbitrary (not necessarily invertible)
-    even-space Clifford element on the full exterior basis."""
-    fb = fock_basis(c.space.n)
-    cols = []
-    for u in fb.subsets:
-        img = act(c, {u: _ONE})
-        col = [_ZERO] * len(fb.subsets)
-        for v, x in img.items():
-            col[fb.index(v)] = x
-        cols.append(col)
-    return Mat.from_cols(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -930,13 +916,15 @@ def _suite_pairing_equivariance(n, trials, rng, chk):
             "norm equivariance",
             g=g,
         )
+    basis = fock_basis(n).subsets
     for _ in range(min(trials, 6)):
         v = random_vector(sp, rng, anisotropic=False, span=5)
-        a = _act_matrix(v)
+        a = _action_matrix(v, basis, basis)
         chk.ok(a.transpose() * j == j * a, "vectors are self-adjoint", v=v)
         x = v * random_vector(sp, rng, anisotropic=False, span=5)
         chk.ok(
-            _act_matrix(x).transpose() * j == j * _act_matrix(beta(x)),
+            _action_matrix(x, basis, basis).transpose() * j
+            == j * _action_matrix(beta(x), basis, basis),
             "adjunction through the reversal",
             x=x,
         )
@@ -1584,11 +1572,7 @@ def _cmd_verify(args):
     if args.trials < 1:
         raise _UsageError("--trials must be a positive integer")
     keys = _resolve_suites(args.suites)
-    jobs = [(key, n) for key in keys for n in ns]
-    with futures.ThreadPoolExecutor(max_workers=4) as pool:
-        outcomes = list(
-            pool.map(lambda job: _run_one(job[0], job[1], args.trials, args.seed), jobs)
-        )
+    outcomes = [_run_one(key, n, args.trials, args.seed) for key in keys for n in ns]
     records = sorted((rec for rec, _ in outcomes), key=lambda r: (r["suite"], r["n"]))
     walls = {(rec["suite"], rec["n"]): wall for rec, wall in outcomes}
     status = "pass" if all(r["status"] == "pass" for r in records) else "fail"
@@ -1612,8 +1596,11 @@ def _cmd_verify(args):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -1641,7 +1628,7 @@ def _parse_element(text, what):
         raise _UsageError(f"malformed JSON for {what}: {exc}")
     try:
         return GPinElement(CliffordElement.from_json(data))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad element for {what}: {exc}")
 
 

@@ -190,6 +190,25 @@ def _push_generator(space, mono, g):
     return tuple(out)
 
 
+def _fold_into(acc, space, mono, c, gens):
+    """Add c * e_mono * e_g1 * e_g2 * ... (g in gens, in order) into acc.
+
+    acc maps monomials to coefficients; the generators are folded in one
+    at a time through _push_generator.
+    """
+    frontier = {mono: c}
+    for g in gens:
+        nxt = {}
+        for m, cm in frontier.items():
+            for m2, c2 in _push_generator(space, m, g):
+                prev = nxt.get(m2)
+                nxt[m2] = cm * c2 if prev is None else prev + cm * c2
+        frontier = nxt
+    for m, cm in frontier.items():
+        prev = acc.get(m)
+        acc[m] = cm if prev is None else prev + cm
+
+
 class CliffordElement:
     """An element of C(V): a finite sum of basis monomials with Q(i) coefficients."""
 
@@ -309,17 +328,7 @@ class CliffordElement:
             acc = {}
             for mb, cb in other.terms.items():
                 for ma, ca in self.terms.items():
-                    frontier = {ma: ca * cb}
-                    for g in mb:
-                        nxt = {}
-                        for mono, c in frontier.items():
-                            for mono2, c2 in _push_generator(self.space, mono, g):
-                                prev = nxt.get(mono2)
-                                nxt[mono2] = c * c2 if prev is None else prev + c * c2
-                        frontier = nxt
-                    for mono, c in frontier.items():
-                        prev = acc.get(mono)
-                        acc[mono] = c if prev is None else prev + c
+                    _fold_into(acc, self.space, ma, ca * cb, mb)
             return CliffordElement(self.space, acc)
         o = _as_gauss(other)
         if o is None:
@@ -383,11 +392,6 @@ class CliffordElement:
         return cls(space, terms)
 
 
-def mul(x, y):
-    """Clifford product; same as x * y."""
-    return x * y
-
-
 def beta(x):
     """The involution that fixes V pointwise and reverses products.
 
@@ -397,22 +401,10 @@ def beta(x):
     contain hyperbolic partners, so the reversed product is folded out in
     full.)
     """
-    space = x.space
     acc = {}
     for m, c in x.terms.items():
-        frontier = {(): c}
-        for g in reversed(m):
-            nxt = {}
-            for mono, cc in frontier.items():
-                for mono2, c2 in _push_generator(space, mono, g):
-                    prev = nxt.get(mono2)
-                    val = cc * c2
-                    nxt[mono2] = val if prev is None else prev + val
-            frontier = nxt
-        for mono, cc in frontier.items():
-            prev = acc.get(mono)
-            acc[mono] = cc if prev is None else prev + cc
-    return CliffordElement(space, acc)
+        _fold_into(acc, x.space, (), c, reversed(m))
+    return CliffordElement(x.space, acc)
 
 
 class GPinElement:
@@ -421,10 +413,12 @@ class GPinElement:
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
     conjugation must send every basis vector back into V.  The vector
-    representation matrix (pr_circ) and the norm are cached.
+    representation matrix (pr_circ) and the norm are cached, and `_spin`
+    holds the spin and half-spin matrices (keyed "full", "+", "-") that
+    spinrep computes for this element, so they live as long as it does.
     """
 
-    __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_inv_elt")
+    __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_inv_elt", "_spin")
 
     def __init__(self, elt):
         if not isinstance(elt, CliffordElement):
@@ -451,6 +445,7 @@ class GPinElement:
                 raise ValueError("conjugation does not stabilize V: element is not in GPin")
             cols.append(coords)
         self._pr_circ = Mat.from_cols(cols)
+        self._spin = {}
 
     @property
     def is_even(self):

@@ -48,6 +48,8 @@ class GaussRat:
     @classmethod
     def parse(cls, text):
         """Parse a Gaussian rational from its text form."""
+        if not isinstance(text, str):
+            raise TypeError(f"Gaussian rational literal must be a str, not {type(text).__name__}")
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty Gaussian rational literal")

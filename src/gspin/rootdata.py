@@ -24,22 +24,20 @@ empty monomial for s_0).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, even_space
-from .exact import GaussRat
+from .exact import SQRT_M1, GaussRat, _as_gauss
 
 _ZERO = GaussRat(0)
 _ONE = GaussRat(1)
 
 
 def _coerce_scalar(x):
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    raise TypeError(f"cannot use {x!r} as a torus coordinate")
+    g = _as_gauss(x)
+    if g is None:
+        raise TypeError(f"cannot use {x!r} as a torus coordinate")
+    return g
 
 
 class WeightVector:
@@ -483,9 +481,6 @@ def central_char(n, eps, a, b):
 # centers
 
 
-_SQRT_M1 = GaussRat(0, 1)
-
-
 class CenterDescriptor:
     """Structure of the center for one of the four groups.
 
@@ -522,7 +517,7 @@ class CenterDescriptor:
         if self.tag in ("gspin", "gso") and self.has_gm:
             extra = set()
             for p in points:
-                for z in (_SQRT_M1, -_ONE, -_SQRT_M1):
+                for z in (SQRT_M1, -_ONE, -SQRT_M1):
                     extra.add(p * self._gm_point(z))
             points |= extra
         return sorted(points, key=lambda p: tuple(str(x) for x in p.s))
@@ -587,8 +582,8 @@ def center(tag, n):
                 [2, 2],
                 [zminus, zplus],
             )
-        zeta = _expand(n, _SQRT_M1, -_ONE)
-        return CenterDescriptor(key, n, False, "Z/4", [zeta], [4], [_expand(n, -_SQRT_M1, -_ONE)])
+        zeta = _expand(n, SQRT_M1, -_ONE)
+        return CenterDescriptor(key, n, False, "Z/4", [zeta], [4], [_expand(n, -SQRT_M1, -_ONE)])
     if key == "so":
         minus_id = _expand(n, _ONE, -_ONE)
         return CenterDescriptor(key, n, False, "Z/2", [minus_id], [2], [minus_id])

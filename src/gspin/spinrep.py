@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, beta, even_space, theta_element
 from .exact import GaussRat, Mat
+from .rootdata import _eps_value
 
 
 def _colex_subsets(universe_size, base=1):
@@ -173,6 +174,26 @@ def act(c, vec):
     return {u: v for u, v in acc.items() if v}
 
 
+def _action_matrix(c, src, dst):
+    """Matrix of v -> c*v from span(src) to span(dst).
+
+    src and dst are sequences of module basis subsets; column k is the
+    image of src[k] in dst coordinates.  Raises ValueError if an image has
+    a component outside dst.
+    """
+    index = {u: k for k, u in enumerate(dst)}
+    cols = []
+    for u in src:
+        col = [GaussRat(0)] * len(dst)
+        for v, x in act(c, {u: GaussRat(1)}).items():
+            k = index.get(v)
+            if k is None:
+                raise ValueError("the module action leaves the target basis")
+            col[k] = x
+        cols.append(col)
+    return Mat.from_cols(cols)
+
+
 class SpinMatrix:
     """A spin or half-spin matrix together with its block label."""
 
@@ -194,11 +215,15 @@ class SpinMatrix:
 
 
 def _eps_label(eps):
-    if eps in ("+", 1):
-        return "+"
-    if eps in ("-", -1):
-        return "-"
-    raise ValueError("epsilon must be +1/-1 or '+'/'-'")
+    return "+" if _eps_value(eps) == 1 else "-"
+
+
+def _cached_matrix(x, label, src):
+    """x's matrix on span(src), kept on the element under label."""
+    mat = x._spin.get(label)
+    if mat is None:
+        mat = x._spin[label] = _action_matrix(x.elt, src, src)
+    return mat
 
 
 def spin_matrix(x):
@@ -210,28 +235,14 @@ def spin_matrix(x):
     """
     if not isinstance(x, GPinElement):
         raise TypeError("spin_matrix expects a GPinElement")
-    return SpinMatrix("full", _spin_mat_cached(x))
-
-
-@lru_cache(maxsize=None)
-def _spin_mat_cached(x):
     space = x.space
     if space.kind == "even":
         basis = fock_basis(space.n).subsets
-        index = fock_basis(space.n).index
     elif space.kind == "odd":
         basis = odd_module_basis(space.n)
-        index = {u: k for k, u in enumerate(basis)}.__getitem__
     else:
         raise ValueError("spin_matrix needs an even- or odd-space element")
-    cols = []
-    for u in basis:
-        image = act(x.elt, {u: GaussRat(1)})
-        col = [GaussRat(0)] * len(basis)
-        for v, c in image.items():
-            col[index(v)] = c
-        cols.append(col)
-    return Mat.from_cols(cols)
+    return SpinMatrix("full", _cached_matrix(x, "full", basis))
 
 
 def half_spin_matrix(x, eps):
@@ -243,25 +254,9 @@ def half_spin_matrix(x, eps):
     if x.parity != 0:
         raise ValueError("odd-parity element has no half-spin matrix")
     label = _eps_label(eps)
-    return SpinMatrix(label, _half_spin_mat_cached(x, label))
-
-
-@lru_cache(maxsize=None)
-def _half_spin_mat_cached(x, label):
     fb = fock_basis(x.space.n)
     block = fb.even_subsets if label == "+" else fb.odd_subsets
-    offsets = {u: k for k, u in enumerate(block)}
-    cols = []
-    for u in block:
-        image = act(x.elt, {u: GaussRat(1)})
-        col = [GaussRat(0)] * len(block)
-        for v, c in image.items():
-            k = offsets.get(v)
-            if k is None:
-                raise ValueError("even element does not preserve the half-spin block")
-            col[k] = c
-        cols.append(col)
-    return Mat.from_cols(cols)
+    return SpinMatrix(label, _cached_matrix(x, label, block))
 
 
 def theta_intertwiner(n):
@@ -271,16 +266,7 @@ def theta_intertwiner(n):
     construction; the matrix is still computed from the module action.
     """
     fb = fock_basis(n)
-    th = theta_element(even_space(n))
-    offsets = {u: k for k, u in enumerate(fb.odd_subsets)}
-    cols = []
-    for u in fb.even_subsets:
-        image = act(th, {u: GaussRat(1)})
-        col = [GaussRat(0)] * len(fb.odd_subsets)
-        for v, c in image.items():
-            col[offsets[v]] = c
-        cols.append(col)
-    return Mat.from_cols(cols)
+    return _action_matrix(theta_element(even_space(n)), fb.even_subsets, fb.odd_subsets)
 
 
 def psi_matrix(n):

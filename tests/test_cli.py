@@ -1,5 +1,6 @@
 """Tests for the command-line verifier and table generator."""
 
+import hashlib
 import io
 import json
 import shutil
@@ -97,6 +98,16 @@ def test_same_seed_gives_identical_bytes(tmp_path):
     assert out3.encode() == first.read_bytes()
 
 
+def test_seed_7_report_is_pinned():
+    # The report of the full registry at n = 3 for seed 7; refactors must
+    # leave it byte for byte as it is.
+    rc, out = run_cli(["verify", "--suites", "all", "--n", "3", "--seed", "7", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "42db201b1b38f321957a6b5e6dc9ff4241015ffdfc44681ee30b99790e8c52a2"
+    )
+
+
 def test_different_seed_changes_inputs_not_status():
     _, rep5 = run_json(["verify", "--suites", "eq:betaInvolution", "--n", "3", "--seed", "5"])
     _, rep6 = run_json(["verify", "--suites", "eq:betaInvolution", "--n", "3", "--seed", "6"])
@@ -163,6 +174,30 @@ def test_usage_errors_exit_2(argv):
     rc, out = run_cli(argv)
     assert rc == 2
     assert out == ""
+
+
+def _scalar_element_json(coeff):
+    return json.dumps({"space": {"kind": "even", "n": 3},
+                       "terms": [{"indices": [], "coeff": coeff}]})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "spin-matrix", "--element", _scalar_element_json("1/0")],
+        ["table", "conj", "--g", _scalar_element_json(5), "--h", _scalar_element_json("1")],
+        ["table", "roots", "--n", "3", "--out", "{tmp}/missing/roots.json"],
+    ],
+    ids=["zero-denominator", "non-string-coeff", "unwritable-out"],
+)
+def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "gspin.cli", *argv], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert "gspin: error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_argparse_errors_exit_2():

@@ -98,6 +98,8 @@ def test_gaussrat_text_roundtrip():
     assert GaussRat.parse("-i") == -SQRT_M1
     assert GaussRat.parse("2*i") == GaussRat(0, 2)
     assert GaussRat.parse("1-i") == GaussRat(1, -1)
+    with pytest.raises(TypeError):
+        GaussRat.parse(5)
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50),

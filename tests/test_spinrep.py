@@ -1,6 +1,7 @@
 """Tests for the exterior module and the spin / half-spin matrix models."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from gspin.exact import SQRT_M1, GaussRat, Mat, inverse, rank
 from gspin.spinrep import (
     FockBasis,
     SpinMatrix,
+    _action_matrix,
     act,
     fock_basis,
     half_spin_matrix,
@@ -233,6 +235,54 @@ def test_act_composition_is_product():
         y = random_gpin(sp, rng)
         v = {(1, 2): ONE, (3,): GaussRat(2, 3)}
         assert act(x.elt, act(y.elt, v)) == act((x * y).elt, v)
+
+
+def _mixed_element(sp, rng):
+    """A scalar, a generator and a few random monomials with Gaussian
+    coefficients: never homogeneous, usually not in any group."""
+    terms = {(): GaussRat(rng.randint(1, 3), rng.randint(-2, 2)),
+             (rng.randint(1, sp.dim),): GaussRat(rng.randint(-3, 3), 1)}
+    for _ in range(rng.randint(2, 4)):
+        mono = tuple(sorted(rng.sample(range(1, sp.dim + 1), rng.randint(2, 4))))
+        terms[mono] = GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+    return CliffordElement(sp, terms)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_action_matrix_oracle_for_product_and_beta(n):
+    # The Fock module is faithful, so action matrices check the monomial
+    # fold shared by x*y and beta without going through the product code:
+    # the matrix of beta(e_s1...e_sr) is the generator matrices multiplied
+    # in reverse order.
+    rng = random.Random(40 + n)
+    sp = even_space(n)
+    basis = fock_basis(n).subsets
+
+    def mat(c):
+        return _action_matrix(c, basis, basis)
+
+    gens = {j: mat(gen(sp, j)) for j in range(1, 2 * n + 1)}
+    for _ in range(4):
+        x = _mixed_element(sp, rng)
+        y = _mixed_element(sp, rng) * gen(sp, rng.randint(1, 2 * n))  # y*e_j = 0: singular
+        assert not x.is_homogeneous()
+        assert rank(mat(y)) < len(basis)
+        assert mat(x * y) == mat(x) * mat(y)
+        assert mat(y * x) == mat(y) * mat(x)
+        for z in (x, y):
+            want = Mat.zeros(len(basis))
+            for mono, c in z.terms.items():
+                term = Mat.identity(len(basis)) * c
+                for j in mono:
+                    term = gens[j] * term
+                want = want + term
+            assert mat(beta(z)) == want
+
+
+def test_action_matrix_rejects_images_outside_target():
+    fb = fock_basis(3)
+    with pytest.raises(ValueError):
+        _action_matrix(gen(even_space(3), 1), fb.even_subsets, fb.even_subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +631,18 @@ def test_spin_matrix_type_checks():
         half_spin_matrix(CliffordElement.one(even_space(3)), "+")
     with pytest.raises(ValueError):
         SpinMatrix("x", Mat.identity(2))
+
+
+def test_spin_matrices_are_cached_on_the_element():
+    g = random_gspin(even_space(3), random.Random(5))
+    refs = sys.getrefcount(g)
+    full = spin_matrix(g).mat
+    plus = half_spin_matrix(g, 1).mat
+    minus = half_spin_matrix(g, -1).mat
+    assert sys.getrefcount(g) == refs
+    assert spin_matrix(g).mat is full
+    assert half_spin_matrix(g, "+").mat is plus
+    assert half_spin_matrix(g, -1).mat is minus
 
 
 def test_spin_matrix_eq_and_repr():
