@@ -1465,6 +1465,15 @@ SUITES = {
 # ---------------------------------------------------------------------------
 # verify command
 
+# Largest accepted n.  Spin weights, spin matrices and the verify suites do
+# 2^n work or more, so an unbounded n would hang instead of failing.
+_MAX_N = 8
+
+
+def _check_n(n):
+    if n > _MAX_N:
+        raise _UsageError(f"n must be at most {_MAX_N}")
+
 
 def _parse_n_range(text):
     s = text.strip()
@@ -1480,6 +1489,7 @@ def _parse_n_range(text):
         raise _UsageError("n must be at least 3")
     if hi < lo:
         raise _UsageError("empty n range")
+    _check_n(hi)
     return list(range(lo, hi + 1))
 
 
@@ -1627,7 +1637,9 @@ def _parse_element(text, what):
     except json.JSONDecodeError as exc:
         raise _UsageError(f"malformed JSON for {what}: {exc}")
     try:
-        return GPinElement(CliffordElement.from_json(data))
+        elt = CliffordElement.from_json(data)
+        _check_n(elt.space.n)
+        return GPinElement(elt)
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad element for {what}: {exc}")
 
@@ -1763,6 +1775,8 @@ _TABLE_HANDLERS = {
 
 
 def _cmd_table(args):
+    if getattr(args, "n", None) is not None:
+        _check_n(args.n)
     try:
         payload = _TABLE_HANDLERS[args.kind](args)
     except _UsageError:

@@ -194,15 +194,18 @@ def _fold_into(acc, space, mono, c, gens):
     """Add c * e_mono * e_g1 * e_g2 * ... (g in gens, in order) into acc.
 
     acc maps monomials to coefficients; the generators are folded in one
-    at a time through _push_generator.
+    at a time through _push_generator.  gens are distinct (a basis
+    monomial, or one reversed), every basis vector pairs nontrivially
+    with at most one basis vector, and Q is nonzero only on self-paired
+    ones, so a frontier monomial fixes which generators were contracted:
+    two frontier terms never land on the same monomial within a step.
     """
     frontier = {mono: c}
     for g in gens:
         nxt = {}
         for m, cm in frontier.items():
             for m2, c2 in _push_generator(space, m, g):
-                prev = nxt.get(m2)
-                nxt[m2] = cm * c2 if prev is None else prev + cm * c2
+                nxt[m2] = cm * c2
         frontier = nxt
     for m, cm in frontier.items():
         prev = acc.get(m)

@@ -13,7 +13,7 @@ the bottom of the module exercise on finite generator tables.
 """
 
 from .clifford import CliffordElement, GPinElement, theta, theta_circ_matrix
-from .exact import GaussRat, Mat, inverse
+from .exact import GaussRat, Mat, _Value, inverse
 from .rootdata import TorusCoordinates, center, theta_on_coords, torus_point
 
 
@@ -24,7 +24,7 @@ def _gso_theta(t):
     return TorusCoordinates(coords)
 
 
-class InvolutionModule:
+class InvolutionModule(_Value):
     """Rational center torsion together with an involutive group action."""
 
     __slots__ = ("elements", "action", "has_gm", "tag", "identity")
@@ -56,9 +56,6 @@ class InvolutionModule:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "identity", ident)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("InvolutionModule is immutable")
-
     def __repr__(self):
         return f"InvolutionModule({self.tag}, {len(self.elements)} torsion elements)"
 
@@ -78,7 +75,7 @@ def involution_module(tag, n):
     return InvolutionModule(desc.torsion(), action, has_gm=desc.has_gm, tag=tag)
 
 
-class Cocycle:
+class Cocycle(_Value):
     """A center element z with z * theta(z) = 1, the value of a cocycle at c."""
 
     __slots__ = ("value_at_c",)
@@ -90,17 +87,6 @@ class Cocycle:
                 raise ValueError("z * theta(z) != 1: not a cocycle")
         object.__setattr__(self, "value_at_c", value_at_c)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cocycle is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Cocycle):
-            return NotImplemented
-        return self.value_at_c == other.value_at_c
-
-    def __hash__(self):
-        return hash(self.value_at_c)
-
     def __repr__(self):
         return f"Cocycle({self.value_at_c!r})"
 
@@ -108,7 +94,7 @@ class Cocycle:
         return [str(c) for c in self.value_at_c.s]
 
 
-class H1Result:
+class H1Result(_Value):
     """Z^1, B^1, and the quotient H^1 with canonical representatives."""
 
     __slots__ = ("z1", "b1", "h1_structure", "h1_reps")
@@ -118,9 +104,6 @@ class H1Result:
         object.__setattr__(self, "b1", tuple(b1))
         object.__setattr__(self, "h1_structure", h1_structure)
         object.__setattr__(self, "h1_reps", tuple(h1_reps))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("H1Result is immutable")
 
     def __repr__(self):
         return (

@@ -23,11 +23,11 @@ from collections import Counter
 from itertools import product
 
 from .clifford import GPinElement, even_space, theta
-from .exact import GaussRat, Mat, charpoly, inverse, jordan_partition
+from .exact import GaussRat, Mat, _Value, charpoly, inverse, jordan_partition
 from .spinrep import half_spin_matrix, spin_matrix
 
 
-class Fingerprint:
+class Fingerprint(_Value):
     """Conjugacy invariants of an even-space GPin element.
 
     ``cp_spin_plus`` / ``cp_spin_minus`` are set for even-parity elements,
@@ -47,9 +47,6 @@ class Fingerprint:
         object.__setattr__(self, "cp_spin_minus", cp_spin_minus)
         object.__setattr__(self, "cp_spin_full", cp_spin_full)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Fingerprint is immutable")
-
     @property
     def is_even(self):
         return self.cp_spin_full is None
@@ -59,17 +56,6 @@ class Fingerprint:
         if self.cp_spin_full is not None:
             return self.cp_spin_full
         return self.cp_spin_plus * self.cp_spin_minus
-
-    def _key(self):
-        return (self.norm, self.cp_std, self.cp_spin_plus, self.cp_spin_minus, self.cp_spin_full)
-
-    def __eq__(self, other):
-        if not isinstance(other, Fingerprint):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         if self.is_even:
@@ -171,6 +157,14 @@ def is_regular_unipotent_so(u):
     return parts == [2 * n - 1, 1]
 
 
+def _check_spin_cocharacter(a1, a2, a3):
+    for a in (a1, a2, a3):
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise TypeError("cocharacter entries must be integers")
+    if (a1 + a2 + a3) % 2:
+        raise ValueError("a1 + a2 + a3 must be even (cocharacter of the spin group)")
+
+
 def spin7_orbit_discriminator(a1, a2, a3):
     """Whether the spin-composed cocharacter and its outer twist stay conjugate.
 
@@ -179,11 +173,7 @@ def spin7_orbit_discriminator(a1, a2, a3):
     compositions; the outer twist swaps the halves, so the two embeddings
     agree on this cocharacter exactly when the multisets coincide.
     """
-    for a in (a1, a2, a3):
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise TypeError("cocharacter entries must be integers")
-    if (a1 + a2 + a3) % 2:
-        raise ValueError("a1 + a2 + a3 must be even (cocharacter of the spin group)")
+    _check_spin_cocharacter(a1, a2, a3)
     even, odd = Counter(), Counter()
     for signs in product((1, -1), repeat=3):
         value = (signs[0] * a1 + signs[1] * a2 + signs[2] * a3) // 2
@@ -206,11 +196,7 @@ def spin_minus_irreducibility_weight_check(n, a):
     if n != 4:
         raise ValueError("the weight check is only meaningful for n = 4")
     a1, a2, a3 = a
-    for x in (a1, a2, a3):
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError("cocharacter entries must be integers")
-    if (a1 + a2 + a3) % 2:
-        raise ValueError("a1 + a2 + a3 must be even (cocharacter of the spin group)")
+    _check_spin_cocharacter(a1, a2, a3)
     b = (
         (a1 + a2 + a3) // 2,
         (a1 + a2 - a3) // 2,

@@ -22,6 +22,31 @@ def _as_gauss(x):
     return None
 
 
+class _Value:
+    """Base of the package's immutable value types.
+
+    Subclasses declare their fields in ``__slots__`` and set them once in
+    ``__init__`` through ``object.__setattr__``; instances compare and
+    hash by those field values, and only against the same type.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
 class GaussRat:
     """A Gaussian rational ``re + im*i`` with exact ``Fraction`` parts.
 

@@ -18,10 +18,11 @@ regularity predicates at the bottom are the distinctness conditions on
 
 from collections import Counter
 
+from .exact import _Value
 from .rootdata import WeightVector, pairing, parity_subsets, spin_weights
 
 
-class HighestWeight:
+class HighestWeight(_Value):
     """A dominant weight (a_0, a_1, ..., a_n) with a_1 >= ... >= |a_n|."""
 
     __slots__ = ("a",)
@@ -41,9 +42,6 @@ class HighestWeight:
             raise ValueError("dominance requires a_{n-1} >= |a_n|")
         object.__setattr__(self, "a", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HighestWeight is immutable")
-
     @property
     def n(self):
         return len(self.a) - 1
@@ -53,14 +51,6 @@ class HighestWeight:
 
     def __getitem__(self, k):
         return self.a[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, HighestWeight):
-            return NotImplemented
-        return self.a == other.a
-
-    def __hash__(self):
-        return hash(self.a)
 
     def __repr__(self):
         return f"HighestWeight{self.a}"
@@ -73,8 +63,11 @@ def _as_weight(lam):
     return lam if isinstance(lam, HighestWeight) else HighestWeight(lam)
 
 
-class HTMultiset:
-    """An integer multiset of weights with its outer multiplicity recorded."""
+class HTMultiset(_Value):
+    """An integer multiset of weights with its outer multiplicity recorded.
+
+    Unhashable: ``values`` is a Counter.
+    """
 
     __slots__ = ("values", "multiplicity")
 
@@ -84,16 +77,8 @@ class HTMultiset:
         object.__setattr__(self, "values", Counter(values))
         object.__setattr__(self, "multiplicity", multiplicity)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HTMultiset is immutable")
-
     def total(self):
         return sum(self.values.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, HTMultiset):
-            return NotImplemented
-        return (self.values, self.multiplicity) == (other.values, other.multiplicity)
 
     def __repr__(self):
         body = ", ".join(
@@ -125,13 +110,18 @@ def b_shift(lam):
     return tuple(shifted)
 
 
-def ht_multiset(n, eps, lam, mult=1):
-    """The weight multiset over I in P^eps(n), each value taken mult times."""
+def _checked_weight(n, lam, mult):
     lam = _as_weight(lam)
     if lam.n != n:
         raise ValueError("weight length does not match n")
     if not (isinstance(mult, int) and mult >= 1):
         raise ValueError("multiplicity must be a positive integer")
+    return lam
+
+
+def ht_multiset(n, eps, lam, mult=1):
+    """The weight multiset over I in P^eps(n), each value taken mult times."""
+    lam = _checked_weight(n, lam, mult)
     shift_total = n * (n - 1) // 2
     values = []
     for subset in p_eps(n, eps):
@@ -143,11 +133,7 @@ def ht_multiset(n, eps, lam, mult=1):
 
 def ht_via_spin_weights(n, eps, lam, mult=1):
     """The same multiset computed by pairing b_shift against spin weights."""
-    lam = _as_weight(lam)
-    if lam.n != n:
-        raise ValueError("weight length does not match n")
-    if not (isinstance(mult, int) and mult >= 1):
-        raise ValueError("multiplicity must be a positive integer")
+    lam = _checked_weight(n, lam, mult)
     b = WeightVector(b_shift(lam), dual=False)
     values = []
     for w in spin_weights(n, eps):

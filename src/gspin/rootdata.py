@@ -27,7 +27,7 @@ import itertools
 from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, even_space
-from .exact import SQRT_M1, GaussRat, _as_gauss
+from .exact import SQRT_M1, GaussRat, _as_gauss, _Value
 
 _ZERO = GaussRat(0)
 _ONE = GaussRat(1)
@@ -40,7 +40,7 @@ def _coerce_scalar(x):
     return g
 
 
-class WeightVector:
+class WeightVector(_Value):
     """Integer weight vector in the coordinates e_0..e_n (or e_0*..e_n*).
 
     dual=False places the vector in the character lattice of the
@@ -57,9 +57,6 @@ class WeightVector:
                 raise TypeError("weight coordinates must be integers")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dual", bool(dual))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightVector is immutable")
 
     @property
     def n(self):
@@ -93,14 +90,6 @@ class WeightVector:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other):
-        if not isinstance(other, WeightVector):
-            return NotImplemented
-        return self.coords == other.coords and self.dual == other.dual
-
-    def __hash__(self):
-        return hash((self.coords, self.dual))
-
     def __repr__(self):
         star = "*" if self.dual else ""
         return f"WeightVector{star}{self.coords}"
@@ -125,7 +114,7 @@ def pairing(a, b):
     return sum(x * y for x, y in zip(a.coords, b.coords))
 
 
-class TorusCoordinates:
+class TorusCoordinates(_Value):
     """A point of a rank-(n+1) torus: an (n+1)-tuple of nonzero scalars."""
 
     __slots__ = ("s",)
@@ -137,9 +126,6 @@ class TorusCoordinates:
         if any(not x for x in s):
             raise ValueError("torus coordinates must be invertible")
         object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusCoordinates is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -173,14 +159,6 @@ class TorusCoordinates:
             return NotImplemented
         return TorusCoordinates(tuple(a**k for a in self.s))
 
-    def __eq__(self, other):
-        if not isinstance(other, TorusCoordinates):
-            return NotImplemented
-        return self.s == other.s
-
-    def __hash__(self):
-        return hash(self.s)
-
     def __repr__(self):
         return "TorusCoordinates(" + ", ".join(str(x) for x in self.s) + ")"
 
@@ -192,7 +170,7 @@ class TorusCoordinates:
         return out
 
 
-class WeylElement:
+class WeylElement(_Value):
     """An element (sigma, a) of the Weyl group {+-1}^{n,'} x| S_n.
 
     perm is the tuple (sigma(1), ..., sigma(n)); signs has an even
@@ -214,9 +192,6 @@ class WeylElement:
             raise ValueError("odd number of sign flips is not in the Weyl group")
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
 
     @classmethod
     def identity(cls, n):
@@ -243,14 +218,6 @@ class WeylElement:
             inv[self.perm[i] - 1] = i + 1
             signs[self.perm[i] - 1] = self.signs[i]
         return WeylElement(tuple(inv), tuple(signs))
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylElement):
-            return NotImplemented
-        return self.perm == other.perm and self.signs == other.signs
-
-    def __hash__(self):
-        return hash((self.perm, self.signs))
 
     def __repr__(self):
         return f"WeylElement(perm={self.perm}, signs={self.signs})"

@@ -24,16 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, beta, even_space, theta_element
-from .exact import GaussRat, Mat
-from .rootdata import _eps_value
-
-
-def _colex_subsets(universe_size, base=1):
-    """All subsets of {base .. base+universe_size-1} in colex (bitmask) order."""
-    out = []
-    for mask in range(1 << universe_size):
-        out.append(tuple(base + j for j in range(universe_size) if mask >> j & 1))
-    return out
+from .exact import GaussRat, Mat, _Value
+from .rootdata import _eps_value, parity_subsets
 
 
 class FockBasis:
@@ -52,9 +44,8 @@ class FockBasis:
         if n < 1:
             raise ValueError("n >= 1 required")
         self.n = n
-        evens = [u for u in _colex_subsets(n) if len(u) % 2 == 0]
-        self.even_subsets = evens
-        self.odd_subsets = [self._xor_n(u) for u in evens]
+        self.even_subsets = list(parity_subsets(n, 1))
+        self.odd_subsets = [self._xor_n(u) for u in self.even_subsets]
         self.subsets = self.even_subsets + self.odd_subsets
         self._index = {u: k for k, u in enumerate(self.subsets)}
         assert len(self.even_subsets) == len(self.odd_subsets) == 2 ** (n - 1)
@@ -93,7 +84,9 @@ def fock_basis(n):
 @lru_cache(maxsize=None)
 def odd_module_basis(n):
     """Basis subsets of the V_{2n-1}-module: subsets of {1..n-1}, colex order."""
-    return tuple(_colex_subsets(n - 1))
+    return tuple(
+        tuple(j + 1 for j in range(n - 1) if mask >> j & 1) for mask in range(1 << (n - 1))
+    )
 
 
 def vacuum():
@@ -194,7 +187,7 @@ def _action_matrix(c, src, dst):
     return Mat.from_cols(cols)
 
 
-class SpinMatrix:
+class SpinMatrix(_Value):
     """A spin or half-spin matrix together with its block label."""
 
     __slots__ = ("epsilon", "mat")
@@ -202,13 +195,8 @@ class SpinMatrix:
     def __init__(self, epsilon, mat):
         if epsilon not in ("+", "-", "full"):
             raise ValueError("epsilon must be '+', '-' or 'full'")
-        self.epsilon = epsilon
-        self.mat = mat
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinMatrix):
-            return NotImplemented
-        return self.epsilon == other.epsilon and self.mat == other.mat
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "mat", mat)
 
     def __repr__(self):
         return f"SpinMatrix({self.epsilon}, {self.mat.nrows}x{self.mat.ncols})"

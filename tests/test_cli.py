@@ -176,27 +176,44 @@ def test_usage_errors_exit_2(argv):
     assert out == ""
 
 
-def _scalar_element_json(coeff):
-    return json.dumps({"space": {"kind": "even", "n": 3},
+def _scalar_element_json(coeff, kind="even", n=3):
+    return json.dumps({"space": {"kind": kind, "n": n},
                        "terms": [{"indices": [], "coeff": coeff}]})
 
 
+_CAP = "n must be at most 8"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["table", "spin-matrix", "--element", _scalar_element_json("1/0")],
-        ["table", "conj", "--g", _scalar_element_json(5), "--h", _scalar_element_json("1")],
-        ["table", "roots", "--n", "3", "--out", "{tmp}/missing/roots.json"],
+        (["table", "spin-matrix", "--element", _scalar_element_json("1/0")], ""),
+        (["table", "conj", "--g", _scalar_element_json(5), "--h", _scalar_element_json("1")], ""),
+        (["table", "roots", "--n", "3", "--out", "{tmp}/missing/roots.json"], ""),
+        (["verify", "--n", "3..40"], _CAP),
+        (["verify", "--n", "9"], _CAP),
+        (["table", "weights", "--n", "40", "--eps", "+"], _CAP),
+        (["table", "center", "--group", "gspin", "--n", "9"], _CAP),
+        (["table", "roots", "--n", "3000"], _CAP),
+        (["table", "ht-weights", "--n", "40", "--eps", "+", "--lam", json.dumps([0] * 41)], _CAP),
+        (["table", "h1", "--group", "gspin", "--n", "9"], _CAP),
+        (["table", "spin-matrix", "--element", _scalar_element_json("1", n=40)], _CAP),
+        (["table", "spin-matrix", "--element", _scalar_element_json("1", kind="odd", n=9)], _CAP),
+        (["table", "conj", "--g", _scalar_element_json("1", n=9),
+          "--h", _scalar_element_json("1", n=9)], _CAP),
     ],
-    ids=["zero-denominator", "non-string-coeff", "unwritable-out"],
+    ids=["zero-denominator", "non-string-coeff", "unwritable-out",
+         "n-cap-verify-range", "n-cap-verify", "n-cap-weights", "n-cap-center", "n-cap-roots",
+         "n-cap-ht-weights", "n-cap-h1", "n-cap-spin-matrix", "n-cap-spin-matrix-odd",
+         "n-cap-conj"],
 )
-def test_bad_input_exits_2_without_traceback(argv, tmp_path):
+def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-m", "gspin.cli", *argv], capture_output=True, text=True
+        [sys.executable, "-m", "gspin.cli", *argv], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 2
-    assert "gspin: error:" in proc.stderr
+    assert f"gspin: error: {error}" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

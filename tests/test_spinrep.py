@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -248,35 +249,52 @@ def _mixed_element(sp, rng):
     return CliffordElement(sp, terms)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_action_matrix_oracle_for_product_and_beta(n):
     # The Fock module is faithful, so action matrices check the monomial
     # fold shared by x*y and beta without going through the product code:
     # the matrix of beta(e_s1...e_sr) is the generator matrices multiplied
-    # in reverse order.
+    # in reverse order.  Up to n = 3 every pair of basis monomials is an
+    # input too, so the fold meets each generator against itself, its
+    # hyperbolic partner and every other generator.
     rng = random.Random(40 + n)
     sp = even_space(n)
     basis = fock_basis(n).subsets
+    mats = {}
 
     def mat(c):
-        return _action_matrix(c, basis, basis)
+        if c not in mats:
+            mats[c] = _action_matrix(c, basis, basis)
+        return mats[c]
 
     gens = {j: mat(gen(sp, j)) for j in range(1, 2 * n + 1)}
+    elements = []
+    pairs = []
     for _ in range(4):
         x = _mixed_element(sp, rng)
         y = _mixed_element(sp, rng) * gen(sp, rng.randint(1, 2 * n))  # y*e_j = 0: singular
         assert not x.is_homogeneous()
         assert rank(mat(y)) < len(basis)
-        assert mat(x * y) == mat(x) * mat(y)
-        assert mat(y * x) == mat(y) * mat(x)
-        for z in (x, y):
-            want = Mat.zeros(len(basis))
-            for mono, c in z.terms.items():
-                term = Mat.identity(len(basis)) * c
-                for j in mono:
-                    term = gens[j] * term
-                want = want + term
-            assert mat(beta(z)) == want
+        elements += [x, y]
+        pairs += [(x, y), (y, x)]
+    if n <= 3:
+        monos = [
+            CliffordElement.monomial(sp, m)
+            for r in range(2 * n + 1)
+            for m in combinations(range(1, 2 * n + 1), r)
+        ]
+        elements += monos
+        pairs += [(x, y) for x in monos for y in monos]
+    for x, y in pairs:
+        assert _action_matrix(x * y, basis, basis) == mat(x) * mat(y)
+    for z in elements:
+        want = Mat.zeros(len(basis))
+        for mono, c in z.terms.items():
+            term = Mat.identity(len(basis)) * c
+            for j in mono:
+                term = gens[j] * term
+            want = want + term
+        assert mat(beta(z)) == want
 
 
 def test_action_matrix_rejects_images_outside_target():
