@@ -19,7 +19,6 @@ theta_elt = sqrt(-1)*(e_n - e_{2n}).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import SQRT_M1, GaussRat, Mat, _as_gauss

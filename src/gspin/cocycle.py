@@ -13,7 +13,7 @@ the bottom of the module exercise on finite generator tables.
 """
 
 from .clifford import CliffordElement, GPinElement, theta, theta_circ_matrix
-from .exact import GaussRat, Mat, _Value, inverse
+from .exact import Mat, _Value, inverse
 from .rootdata import TorusCoordinates, center, theta_on_coords, torus_point
 
 
@@ -60,6 +60,10 @@ class InvolutionModule(_Value):
         return f"InvolutionModule({self.tag}, {len(self.elements)} torsion elements)"
 
 
+def _identity(z):
+    return z
+
+
 def involution_module(tag, n):
     """The torsion of the tagged center with its natural involution.
 
@@ -68,7 +72,7 @@ def involution_module(tag, n):
     """
     if tag == "trivial":
         return InvolutionModule(
-            (TorusCoordinates.identity(n),), lambda z: z, has_gm=False, tag="trivial"
+            (TorusCoordinates.identity(n),), _identity, has_gm=False, tag="trivial"
         )
     desc = center(tag, n)
     action = theta_on_coords if tag in ("gspin", "spin") else _gso_theta
@@ -250,12 +254,7 @@ def _central_element_like(g, coords):
     if isinstance(g, GPinElement):
         return torus_point(coords)
     vals = list(coords.s[1:])
-    n = len(vals)
-    diag = vals + [GaussRat(1) / v for v in vals]
-    rows = [
-        [diag[i] if i == j else GaussRat(0) for j in range(2 * n)] for i in range(2 * n)
-    ]
-    return Mat(rows)
+    return Mat.diag(vals + [1 / v for v in vals])
 
 
 def extension_classes(rho_gens, g0, module=None):

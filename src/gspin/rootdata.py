@@ -307,56 +307,49 @@ def _wv(n, pairs, dual):
     return WeightVector(tuple(coords), dual)
 
 
-def roots(n):
-    """All 2n(n-1) roots, sorted lexicographically by coordinates."""
+def _root_system(n, dual):
+    """+-(e_i - e_j) and +-(e_i + e_j), sorted by coordinates.
+
+    Roots (dual=False) carry -+e_0 on +-(e_i + e_j); coroots carry no e_0*.
+    """
     if n < 3:
         raise ValueError("n >= 3 required")
     out = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            for v in (
-                _wv(n, [(i, 1), (j, -1)], False),
-                _wv(n, [(i, -1), (j, 1)], False),
-                _wv(n, [(i, 1), (j, 1), (0, -1)], False),
-                _wv(n, [(i, -1), (j, -1), (0, 1)], False),
-            ):
-                out.append(v)
+            for s in (1, -1):
+                out.append(_wv(n, [(i, s), (j, -s)], dual))
+                out.append(_wv(n, [(i, s), (j, s), (0, 0 if dual else -s)], dual))
     return sorted(out, key=lambda v: v.coords)
+
+
+def roots(n):
+    """All 2n(n-1) roots, sorted lexicographically by coordinates."""
+    return _root_system(n, False)
 
 
 def coroots(n):
     """All coroots +-(e_i* - e_j*), +-(e_i* + e_j*), sorted."""
+    return _root_system(n, True)
+
+
+def _simple_system(n, dual):
+    """e_i - e_{i+1} for i < n, then e_{n-1} + e_n (minus e_0 for roots)."""
     if n < 3:
         raise ValueError("n >= 3 required")
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for v in (
-                _wv(n, [(i, 1), (j, -1)], True),
-                _wv(n, [(i, -1), (j, 1)], True),
-                _wv(n, [(i, 1), (j, 1)], True),
-                _wv(n, [(i, -1), (j, -1)], True),
-            ):
-                out.append(v)
-    return sorted(out, key=lambda v: v.coords)
+    out = [_wv(n, [(i, 1), (i + 1, -1)], dual) for i in range(1, n)]
+    out.append(_wv(n, [(n - 1, 1), (n, 1), (0, 0 if dual else -1)], dual))
+    return out
 
 
 def simple_roots(n):
     """alpha_1 .. alpha_n in indexed order."""
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    out = [_wv(n, [(i, 1), (i + 1, -1)], False) for i in range(1, n)]
-    out.append(_wv(n, [(n - 1, 1), (n, 1), (0, -1)], False))
-    return out
+    return _simple_system(n, False)
 
 
 def simple_coroots(n):
     """alpha_1^vee .. alpha_n^vee in indexed order."""
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    out = [_wv(n, [(i, 1), (i + 1, -1)], True) for i in range(1, n)]
-    out.append(_wv(n, [(n - 1, 1), (n, 1)], True))
-    return out
+    return _simple_system(n, True)
 
 
 # ---------------------------------------------------------------------------

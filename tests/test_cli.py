@@ -10,6 +10,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from gspin import cli, suites
 from gspin.cli import SUITES, main
 from gspin.clifford import CliffordElement, even_space, odd_space, theta
 from gspin.rootdata import torus_point
@@ -106,6 +107,17 @@ def test_seed_7_report_is_pinned():
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "42db201b1b38f321957a6b5e6dc9ff4241015ffdfc44681ee30b99790e8c52a2"
     )
+
+
+def test_list_is_pinned():
+    # Keys, descriptions and order of the registry as `verify --list` prints
+    # them; the report's "suites" list follows the same order.
+    rc, out = run_cli(["verify", "--list", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "c4be7360e0de0fac5f320a2c1d3470660c54b54627285af01f8f0fcd8e7df9d8"
+    )
+    assert cli.SUITES is suites.SUITES
 
 
 def test_different_seed_changes_inputs_not_status():

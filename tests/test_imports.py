@@ -1,0 +1,34 @@
+"""Every top-level import of a gspin module is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted(
+    p for p in (Path(__file__).resolve().parent.parent / "src" / "gspin").glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def _unused_imports(source):
+    """(line, name) for each name a top-level import binds and the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_top_level_imports(path):
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_is_reported():
+    source = "import json\nimport os.path\nfrom x import a as b, c\nprint(os.sep, c)\n"
+    assert _unused_imports(source) == [(1, "json"), (3, "b")]

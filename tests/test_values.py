@@ -54,3 +54,10 @@ def test_value_type_is_immutable_and_compared_by_value(cls, make, hashable):
     else:
         with pytest.raises(TypeError):
             hash(a)
+
+
+@pytest.mark.parametrize("tag", ["trivial", "gspin"])
+def test_involution_modules_of_equal_inputs_are_equal(tag):
+    a, b = involution_module(tag, 3), involution_module(tag, 3)
+    assert a == b
+    assert hash(a) == hash(b)
