@@ -248,7 +248,7 @@ def _table_center(args):
     desc = center(args.group, args.n)
     payload = {"kind": "center"}
     payload.update(desc.to_json())
-    payload["torsion"] = [[str(x) for x in p.s] for p in desc.torsion()]
+    payload["torsion"] = [p.to_json() for p in desc.torsion()]
     return payload
 
 
@@ -296,20 +296,17 @@ def _table_ht_weights(args):
 
 def _table_spin_matrix(args):
     g = _parse_element(args.element, "--element")
-    try:
-        if args.eps == "full":
-            sm = spin_matrix(g)
-            if g.space.kind == "even":
-                basis = fock_basis(g.space.n).manifest()
-            else:
-                basis = [list(u) for u in odd_module_basis(g.space.n)]
+    if args.eps == "full":
+        sm = spin_matrix(g)
+        if g.space.kind == "even":
+            basis = fock_basis(g.space.n).manifest()
         else:
-            sm = half_spin_matrix(g, _parse_eps(args.eps))
-            fb = fock_basis(g.space.n)
-            block = fb.even_subsets if args.eps == "+" else fb.odd_subsets
-            basis = [list(u) for u in block]
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+            basis = [list(u) for u in odd_module_basis(g.space.n)]
+    else:
+        sm = half_spin_matrix(g, _parse_eps(args.eps))
+        fb = fock_basis(g.space.n)
+        block = fb.even_subsets if args.eps == "+" else fb.odd_subsets
+        basis = [list(u) for u in block]
     return {
         "kind": "spin-matrix",
         "space": g.space.to_json(),
@@ -324,14 +321,11 @@ def _table_conj(args):
     h = _parse_element(args.h, "--h")
     if g.space != h.space:
         raise _UsageError("the two elements live in different spaces")
-    try:
-        fg, fh = fingerprint(g), fingerprint(h)
-        both_even = g.is_even and h.is_even
-        inner = is_conjugate_gspin(g, h) if both_even else None
-        outer = is_outer_conjugate(g, h) if both_even else None
-        gpin = is_conjugate_gpin(g, h)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    fg, fh = fingerprint(g), fingerprint(h)
+    both_even = g.is_even and h.is_even
+    inner = is_conjugate_gspin(g, h) if both_even else None
+    outer = is_outer_conjugate(g, h) if both_even else None
+    gpin = is_conjugate_gpin(g, h)
     return {
         "kind": "conj",
         "g": fg.to_json(),
@@ -347,7 +341,7 @@ def _table_h1(args):
     res = z1_b1_h1(mod)
     payload = {"kind": "h1", "group": args.group, "n": args.n}
     payload.update(res.to_json())
-    payload["norm_image"] = [[str(x) for x in p.s] for p in norm_map_image(mod)]
+    payload["norm_image"] = [p.to_json() for p in norm_map_image(mod)]
     return payload
 
 
@@ -367,8 +361,6 @@ def _cmd_table(args):
         _check_n(args.n)
     try:
         payload = _TABLE_HANDLERS[args.kind](args)
-    except _UsageError:
-        raise
     except (TypeError, ValueError) as exc:
         raise _UsageError(str(exc))
     _emit(_canonical_json(payload), getattr(args, "out", None))

@@ -432,13 +432,14 @@ class GPinElement:
         self.elt = elt
         self.space = elt.space
         self.parity = elt.parity()
-        nrm = elt * beta(elt)
+        b = beta(elt)
+        nrm = elt * b
         if not nrm.is_scalar():
             raise ValueError("x*beta(x) is not scalar: element is not in GPin")
         self.norm = nrm.scalar_value()
         if not self.norm:
             raise ValueError("spinor norm is zero: element is not invertible")
-        self._inv_elt = beta(elt) / self.norm
+        self._inv_elt = b / self.norm
         cols = []
         for j in range(1, self.space.dim + 1):
             image = elt * CliffordElement.generator(self.space, j) * self._inv_elt
@@ -482,11 +483,8 @@ class GPinElement:
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return self.inverse() ** (-k)
-        out = GPinElement(CliffordElement.one(self.space))
-        for _ in range(k):
-            out = out * self
-        return out
+            return GPinElement(self._inv_elt ** -k)
+        return GPinElement(self.elt ** k)
 
     def __eq__(self, other):
         if not isinstance(other, GPinElement):

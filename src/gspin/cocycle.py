@@ -95,7 +95,7 @@ class Cocycle(_Value):
         return f"Cocycle({self.value_at_c!r})"
 
     def to_json(self):
-        return [str(c) for c in self.value_at_c.s]
+        return self.value_at_c.to_json()
 
 
 class H1Result(_Value):
@@ -126,10 +126,6 @@ class H1Result(_Value):
         }
 
 
-def _coords_key(t):
-    return tuple(str(c) for c in t.s)
-
-
 def z1_b1_h1(mod):
     """Enumerate cocycles, coboundaries, and the quotient for a module.
 
@@ -141,15 +137,15 @@ def z1_b1_h1(mod):
     """
     act = mod.action
     ident = mod.identity
-    z1_vals = sorted((z for z in mod.elements if z * act(z) == ident), key=_coords_key)
+    z1_vals = sorted((z for z in mod.elements if z * act(z) == ident), key=TorusCoordinates.to_json)
     b1_set = {act(x) * x.inverse() for x in mod.elements}
-    b1_vals = sorted(b1_set, key=_coords_key)
+    b1_vals = sorted(b1_set, key=TorusCoordinates.to_json)
     if not b1_set <= set(z1_vals):
         raise AssertionError("coboundaries must be cocycles")
     remaining = set(z1_vals)
     cosets = []
     while remaining:
-        z = min(remaining, key=_coords_key)
+        z = min(remaining, key=TorusCoordinates.to_json)
         coset = {z * b for b in b1_set}
         if not coset <= remaining:
             raise AssertionError("coboundary translates must stay inside Z^1")
@@ -157,8 +153,8 @@ def z1_b1_h1(mod):
         remaining -= coset
     reps = []
     for coset in cosets:
-        reps.append(ident if ident in coset else min(coset, key=_coords_key))
-    reps.sort(key=lambda v: (v != ident, _coords_key(v)))
+        reps.append(ident if ident in coset else min(coset, key=TorusCoordinates.to_json))
+    reps.sort(key=lambda v: (v != ident, v.to_json()))
     q = len(cosets)
     if len(z1_vals) != q * len(b1_vals):
         raise AssertionError("|Z^1| must equal |H^1| * |B^1|")
@@ -197,7 +193,7 @@ def norm_map_image(mod):
     testable pointwise over the rationals and is not asserted here).
     """
     act = mod.action
-    image = sorted({z * act(z) for z in mod.elements}, key=_coords_key)
+    image = sorted({z * act(z) for z in mod.elements}, key=TorusCoordinates.to_json)
     for w in image:
         if act(w) != w:
             raise AssertionError("the norm map must land in the fixed points")

@@ -11,7 +11,7 @@ point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 
 def _as_gauss(x):
@@ -526,68 +526,52 @@ def charpoly(m):
     return polys[n]
 
 
-def rank(m):
-    """Row rank over Q(i).
+def _reduce(rows, ncols):
+    """Gauss-Jordan elimination in place on the first ncols columns.
 
-    Rows are scaled to Gaussian-integer entries, then eliminated by the
-    fraction-free (Bareiss) two-step rule, which keeps every intermediate
-    entry a minor of the scaled matrix.
+    rows is a list of mutable rows, possibly longer than ncols (an
+    augmented block rides along).  Afterwards the pivot rows lead,
+    scaled to 1 at their pivots, and every other entry of a pivot column
+    is zero.  Returns the pivot columns in order.
     """
-    rows = []
-    for row in m.rows:
-        den = 1
-        for a in row:
-            den = lcm(den, a.re.denominator, a.im.denominator)
-        rows.append([a * den for a in row])
-    nr, nc = m.nrows, m.ncols
-    zero = GaussRat(0)
-    prev = GaussRat(1)
+    pivots = []
     r = 0
-    for c in range(nc):
-        piv = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                piv = i
-                break
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, nc):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) / prev
-            rows[i][c] = zero
-        prev = rows[r][c]
+        p = rows[r][c]
+        row = [a / p for a in rows[r]]
+        rows[r] = row
+        for i, other in enumerate(rows):
+            f = other[c]
+            if i != r and f:
+                rows[i] = [a - f * b for a, b in zip(other, row)]
+        pivots.append(c)
         r += 1
-        if r == nr:
+        if r == len(rows):
             break
-    return r
+    return pivots
+
+
+def rank(m):
+    """Row rank over Q(i): the number of pivots of the reduced matrix."""
+    return len(_reduce([list(row) for row in m.rows], m.ncols))
 
 
 def inverse(m):
-    """Exact inverse by Gauss-Jordan elimination.
+    """Exact inverse by Gauss-Jordan elimination of [m | I].
 
-    Raises ValueError on singular input.
+    Raises ValueError on singular or non-square input.
     """
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
     aug = [list(row) + [GaussRat(int(i == j)) for j in range(n)]
            for i, row in enumerate(m.rows)]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if aug[r][c]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        aug[c] = [a / p for a in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    if len(_reduce(aug, n)) < n:
+        raise ValueError("matrix is singular")
     return Mat([row[n:] for row in aug])
 
 

@@ -162,6 +162,10 @@ class TorusCoordinates(_Value):
     def __repr__(self):
         return "TorusCoordinates(" + ", ".join(str(x) for x in self.s) + ")"
 
+    def to_json(self):
+        """The coordinates in canonical text form; also the canonical sort key."""
+        return [str(x) for x in self.s]
+
     def spinor_norm(self):
         """s_0^2 s_1 ... s_n, the spinor norm in spinor-side coordinates."""
         out = self.s[0] * self.s[0]
@@ -480,7 +484,7 @@ class CenterDescriptor:
                 for z in (SQRT_M1, -_ONE, -SQRT_M1):
                     extra.add(p * self._gm_point(z))
             points |= extra
-        return sorted(points, key=lambda p: tuple(str(x) for x in p.s))
+        return sorted(points, key=TorusCoordinates.to_json)
 
     def _gm_point(self, z):
         if self.tag == "gspin":
@@ -493,9 +497,9 @@ class CenterDescriptor:
             "n": self.n,
             "structure": self.structure,
             "has_gm": self.has_gm,
-            "generators": [[str(x) for x in g.s] for g in self.generators],
+            "generators": [g.to_json() for g in self.generators],
             "orders": self.orders,
-            "theta_images": [[str(x) for x in g.s] for g in self.theta_images],
+            "theta_images": [g.to_json() for g in self.theta_images],
         }
 
 

@@ -21,6 +21,7 @@ of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, beta, even_space, theta_element
@@ -94,53 +95,34 @@ def vacuum():
     return {(): GaussRat(1)}
 
 
-def _wedge(u, j):
-    """(sign, u + {j}) or None if j already present."""
-    if j in u:
-        return None
-    smaller = sum(1 for x in u if x < j)
-    sign = -1 if smaller % 2 else 1
-    return sign, tuple(sorted(u + (j,)))
+def _apply_monomial(w, mono, u):
+    """Walk the basis subset u through a Clifford monomial, last generator first.
 
-
-def _contract(u, j):
-    """(sign, u - {j}) or None if j absent; sign (-1)^{pos+1} per the action rule."""
-    if j not in u:
-        return None
-    pos = u.index(j) + 1
-    sign = 1 if (pos + 1) % 2 == 0 else -1
-    return sign, tuple(x for x in u if x != j)
-
-
-def _apply_generator(space, j, vec):
-    n = space.n
-    out = {}
-    if space.kind == "even":
-        if j <= n:
-            action = ("wedge", j)
+    w = dim W.  Each generator sends a basis monomial to plus or minus one
+    basis monomial or to 0, so a whole monomial does too.  Generators
+    1..w wedge (sign: the number of indices the new one moves past),
+    w+1..2w contract (sign: the position of the removed index), and 2w+1,
+    the odd space's anisotropic f_{2n-1}, multiplies by (-1)^{#U}.
+    Returns (sign, subset) with sign +1 or -1, or None when the image is 0.
+    """
+    sign = 1
+    for g in reversed(mono):
+        if g <= w:
+            k = bisect_left(u, g)
+            if k < len(u) and u[k] == g:
+                return None
+            u = u[:k] + (g,) + u[k:]
+        elif g <= 2 * w:
+            j = g - w
+            k = bisect_left(u, j)
+            if k == len(u) or u[k] != j:
+                return None
+            u = u[:k] + u[k + 1:]
         else:
-            action = ("contract", j - n)
-    else:
-        if j <= n - 1:
-            action = ("wedge", j)
-        elif j <= 2 * n - 2:
-            action = ("contract", j - (n - 1))
-        else:
-            action = ("parity", None)
-    for u, c in vec.items():
-        if action[0] == "wedge":
-            hit = _wedge(u, action[1])
-        elif action[0] == "contract":
-            hit = _contract(u, action[1])
-        else:
-            hit = (1 if len(u) % 2 == 0 else -1, u)
-        if hit is None:
-            continue
-        sign, target = hit
-        add = c if sign > 0 else -c
-        prev = out.get(target)
-        out[target] = add if prev is None else prev + add
-    return {u: c for u, c in out.items() if c}
+            k = len(u)
+        if k % 2:
+            sign = -sign
+    return sign, u
 
 
 def act(c, vec):
@@ -150,20 +132,24 @@ def act(c, vec):
     space = c.space
     if space.kind not in ("even", "odd"):
         raise ValueError("the exterior module is defined for the even and odd spaces")
-    limit = space.n if space.kind == "even" else space.n - 1
+    w = space.n if space.kind == "even" else space.n - 1
     for u in vec:
-        if any(not (1 <= j <= limit) for j in u):
+        if any(not (1 <= j <= w) for j in u):
             raise ValueError("module vector indices out of range for this space")
+        if any(a >= b for a, b in zip(u, u[1:])):
+            raise ValueError("module vector keys must be strictly increasing index tuples")
     acc = {}
     for mono, coeff in c.terms.items():
-        cur = {u: v * coeff for u, v in vec.items()}
-        for g in reversed(mono):
-            cur = _apply_generator(space, g, cur)
-            if not cur:
-                break
-        for u, v in cur.items():
-            prev = acc.get(u)
-            acc[u] = v if prev is None else prev + v
+        for u, v in vec.items():
+            hit = _apply_monomial(w, mono, u)
+            if hit is None:
+                continue
+            sign, target = hit
+            x = v * coeff
+            if sign < 0:
+                x = -x
+            prev = acc.get(target)
+            acc[target] = x if prev is None else prev + x
     return {u: v for u, v in acc.items() if v}
 
 

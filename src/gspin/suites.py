@@ -121,7 +121,7 @@ def _ser(x):
     if isinstance(x, (Mat, Poly)):
         return x.to_json()
     if isinstance(x, TorusCoordinates):
-        return [str(c) for c in x.s]
+        return x.to_json()
     if isinstance(x, WeightVector):
         return list(x.coords)
     if isinstance(x, WeylElement):
@@ -877,15 +877,16 @@ def _suite_spin_representation(n, trials, rng, chk):
     chk.ok(spin_matrix(ident).mat == Mat.identity(2 ** n), "identity maps to identity")
     for _ in range(_heavy(n, trials, cap=3, cap_high=2)):
         g, h = _rand_gspin(n, rng), _rand_gspin(n, rng)
+        gh = g * h
         chk.ok(
-            spin_matrix(g * h).mat == spin_matrix(g).mat * spin_matrix(h).mat,
+            spin_matrix(gh).mat == spin_matrix(g).mat * spin_matrix(h).mat,
             "multiplicative on the even part",
             g=g,
             h=h,
         )
         for eps in (1, -1):
             chk.ok(
-                half_spin_matrix(g * h, eps).mat
+                half_spin_matrix(gh, eps).mat
                 == half_spin_matrix(g, eps).mat * half_spin_matrix(h, eps).mat,
                 "half blocks multiplicative",
                 g=g,

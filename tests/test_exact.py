@@ -40,9 +40,13 @@ def charpoly_faddeev_leverrier(m):
     return Poly(coeffs)
 
 
+def sympy_matrix(m):
+    return sympy.Matrix(m.nrows, m.ncols,
+                        lambda i, j: sympy.Rational(m[i, j].re) + sympy.Rational(m[i, j].im) * sympy.I)
+
+
 def charpoly_sympy(m):
-    sm = sympy.Matrix(m.nrows, m.ncols,
-                      lambda i, j: sympy.Rational(m[i, j].re) + sympy.Rational(m[i, j].im) * sympy.I)
+    sm = sympy_matrix(m)
     x = sympy.Symbol("x")
     coeffs = sympy.Poly(sm.charpoly(x).as_expr(), x).all_coeffs()[::-1]
     out = []
@@ -243,8 +247,29 @@ def test_rank_matches_sympy():
     for n in (2, 3, 4):
         for _ in range(6):
             m = rand_mat(rng, n, span=2)
-            sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(m[i, j].re) + sympy.Rational(m[i, j].im) * sympy.I)
-            assert rank(m) == sm.rank()
+            assert rank(m) == sympy_matrix(m).rank()
+
+
+@pytest.mark.parametrize("rows, inner, cols", [
+    (2, 5, 6), (3, 2, 7), (4, 4, 9),    # wide
+    (6, 5, 2), (7, 2, 3), (9, 3, 4),    # tall
+    (5, 2, 5), (6, 3, 6), (8, 1, 8),    # square, rank-deficient
+])
+def test_rank_matches_sympy_on_thin_products(rows, inner, cols):
+    # A product of a rows x inner and an inner x cols factor has rank at
+    # most inner, so wide, tall and rank-deficient shapes all come up;
+    # fractional entries make the elimination divide, and a zero column
+    # in the right factor moves later pivots off the diagonal.
+    rng = Random(1000 * rows + 10 * inner + cols)
+    for _ in range(3):
+        left = Mat([[rand_gauss(rng, 2) * GaussRat(Fraction(1, rng.randint(1, 3)))
+                     for _ in range(inner)] for _ in range(rows)])
+        zero_col = rng.randrange(cols)
+        right = Mat([[GaussRat(0) if j == zero_col else rand_gauss(rng, 2) for j in range(cols)]
+                     for _ in range(inner)])
+        m = left * right
+        assert rank(m) == sympy_matrix(m).rank()
+        assert rank(m.transpose()) == rank(m)
 
 
 def test_rank_with_fractions():
@@ -273,6 +298,11 @@ def test_inverse_roundtrip():
 def test_inverse_singular():
     with pytest.raises(ValueError):
         inverse(Mat([[1, 2], [2, 4]]))
+
+
+def test_inverse_rejects_non_square():
+    with pytest.raises(ValueError):
+        inverse(Mat.zeros(2, 3))
 
 
 # -------------------------------------------------------- jordan_partition

@@ -180,6 +180,14 @@ def test_act_index_out_of_range():
         act(gen(sp, 1), {(4,): ONE})
 
 
+def test_act_rejects_unsorted_or_repeated_indices():
+    # The walk locates indices by bisection, so it needs basis subsets.
+    sp = even_space(3)
+    for u in ((2, 1), (1, 1), (3, 1, 2)):
+        with pytest.raises(ValueError):
+            act(gen(sp, 3), {u: ONE})
+
+
 def test_act_rejects_line_space():
     from gspin.clifford import line_space
 
@@ -236,6 +244,24 @@ def test_act_composition_is_product():
         y = random_gpin(sp, rng)
         v = {(1, 2): ONE, (3,): GaussRat(2, 3)}
         assert act(x.elt, act(y.elt, v)) == act((x * y).elt, v)
+
+
+@pytest.mark.parametrize("space", [even_space(2), even_space(3), odd_space(2), odd_space(3)],
+                         ids=lambda sp: f"{sp.kind}-{sp.n}")
+def test_act_of_monomial_is_generators_right_to_left(space):
+    # act walks a basis subset through a whole monomial at once; composing
+    # the single-generator actions from the right must give the same
+    # vector, for every basis monomial of C(V) (on the odd space this
+    # mixes f_{2n-1} with wedges and contractions) and every basis subset.
+    basis = fock_basis(space.n).subsets if space.kind == "even" else odd_module_basis(space.n)
+    for r in range(space.dim + 1):
+        for mono in combinations(range(1, space.dim + 1), r):
+            c = CliffordElement.monomial(space, mono, GaussRat(2, -1))
+            for u in basis:
+                expected = {u: GaussRat(2, -1)}
+                for j in reversed(mono):
+                    expected = act(gen(space, j), expected)
+                assert act(c, {u: ONE}) == expected, (mono, u)
 
 
 def _mixed_element(sp, rng):
