@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exact import SQRT_M1, GaussRat, Mat, _as_gauss
+from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, inverse, rank
 
 
 class QuadSpace:
@@ -418,6 +418,10 @@ class GPinElement:
     representation matrix (pr_circ) and the norm are cached, and `_spin`
     holds the spin and half-spin matrices (keyed "full", "+", "-") that
     spinrep computes for this element, so they live as long as it does.
+
+    The group is closed under products, inverses, powers and theta, so
+    those operations derive the cached data of their result from verified
+    operands (`_composed`) instead of checking membership again.
     """
 
     __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_inv_elt", "_spin")
@@ -450,6 +454,14 @@ class GPinElement:
         self._pr_circ = Mat.from_cols(cols)
         self._spin = {}
 
+    @classmethod
+    def _composed(cls, elt, parity, norm, pr_circ, inv_elt):
+        """An element whose data follow from verified operands; nothing is checked."""
+        self = object.__new__(cls)
+        self.elt, self.space, self.parity, self.norm = elt, elt.space, parity, norm
+        self._pr_circ, self._inv_elt, self._spin = pr_circ, inv_elt, {}
+        return self
+
     @property
     def is_even(self):
         return self.parity == 0
@@ -472,19 +484,26 @@ class GPinElement:
         return coords_of(self)
 
     def inverse(self):
-        return GPinElement(self._inv_elt)
+        return GPinElement._composed(self._inv_elt, self.parity, 1 / self.norm,
+                                     inverse(self._pr_circ), self.elt)
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
             return NotImplemented
-        return GPinElement(self.elt * other.elt)
+        elt = self.elt * other.elt
+        norm = self.norm * other.norm
+        return GPinElement._composed(elt, (self.parity + other.parity) % 2, norm,
+                                     self._pr_circ * other._pr_circ, beta(elt) / norm)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
-            return GPinElement(self._inv_elt ** -k)
-        return GPinElement(self.elt ** k)
+            return self.inverse() ** -k
+        elt = self.elt ** k
+        norm = self.norm ** k
+        return GPinElement._composed(elt, self.parity * k % 2, norm,
+                                     self._pr_circ ** k, beta(elt) / norm)
 
     def __eq__(self, other):
         if not isinstance(other, GPinElement):
@@ -545,7 +564,10 @@ def theta(g):
     if g.space.kind != "even":
         raise ValueError("theta is defined on the even-space group")
     th = theta_element(g.space)
-    return GPinElement(th * g.elt * th)
+    elt = th * g.elt * th
+    t = theta_circ_matrix(g.space.n)
+    return GPinElement._composed(elt, g.parity, g.norm, t * g._pr_circ * t,
+                                 beta(elt) / g.norm)
 
 
 class OrthogonalSplit:
@@ -575,8 +597,7 @@ class OrthogonalSplit:
             for ck in coords2:
                 if target.bilinear(cj, ck):
                     raise ValueError("factors are not orthogonal")
-        from .exact import rank as _rank
-        if _rank(Mat.from_cols(coords1 + coords2)) != target.dim:
+        if rank(Mat.from_cols(coords1 + coords2)) != target.dim:
             raise ValueError("images do not span the target space")
         self.target = target
         self.source1, self.images1 = source1, list(images1)

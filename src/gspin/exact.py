@@ -541,13 +541,14 @@ def _reduce(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        row = [a / p for a in rows[r]]
+        # one division per pivot; zero entries are neither scaled nor subtracted
+        inv = 1 / rows[r][c]
+        row = [a * inv if a else a for a in rows[r]]
         rows[r] = row
         for i, other in enumerate(rows):
             f = other[c]
             if i != r and f:
-                rows[i] = [a - f * b for a, b in zip(other, row)]
+                rows[i] = [a - f * b if b else a for a, b in zip(other, row)]
         pivots.append(c)
         r += 1
         if r == len(rows):

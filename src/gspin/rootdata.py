@@ -561,7 +561,11 @@ def center(tag, n):
 
 
 def torus_clifford_element(c, a, b):
-    """The group element c * prod_i (a_i e_i e_{n+i} + b_i e_{n+i} e_i)."""
+    """The group element c * prod_i (a_i e_i e_{n+i} + b_i e_{n+i} e_i).
+
+    Each of the n + 1 factors is small and fully checked; their product
+    composes the norm, pr_circ and inverse of the point from theirs.
+    """
     a = [_coerce_scalar(x) for x in a]
     b = [_coerce_scalar(x) for x in b]
     c = _coerce_scalar(c)
@@ -571,12 +575,12 @@ def torus_clifford_element(c, a, b):
         raise ValueError("torus parameters must be nonzero")
     n = len(a)
     space = even_space(n)
-    t = CliffordElement.scalar(space, c)
+    t = GPinElement(CliffordElement.scalar(space, c))
     for i in range(1, n + 1):
         ei = CliffordElement.generator(space, i)
         eni = CliffordElement.generator(space, n + i)
-        t = t * (ei * eni * a[i - 1] + eni * ei * b[i - 1])
-    return GPinElement(t)
+        t = t * GPinElement(ei * eni * a[i - 1] + eni * ei * b[i - 1])
+    return t
 
 
 def torus_point(s):

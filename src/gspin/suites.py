@@ -338,7 +338,8 @@ def _suite_projections(n, trials, rng, chk):
         )
     for _ in range(_heavy(n, trials)):
         g, h = _rand_gspin(n, rng), _rand_gspin(n, rng)
-        gh = g * h
+        # fully checked: g * h would compose its data from those of g and h
+        gh = GPinElement(g.elt * h.elt)
         chk.ok(gh.pr_circ() == g.pr_circ() * h.pr_circ(), "conjugation is a homomorphism", g=g, h=h)
         chk.ok(gh.pr() == g.pr() * h.pr(), "twisted conjugation is a homomorphism", g=g, h=h)
         chk.ok(
@@ -482,7 +483,11 @@ def _suite_theta_centralizes(n, trials, rng, chk):
         x = _rand_gspin(n, rng)
         tx = theta(x)
         chk.ok(tx == th * x * th.inverse(), "twist is conjugation by the odd element", x=x)
-        chk.ok(tx.pr_circ() == th_vec * x.pr_circ() * th_vec, "descends to vectors", x=x)
+        chk.ok(
+            GPinElement(tx.elt).pr_circ() == th_vec * x.pr_circ() * th_vec,
+            "descends to vectors",
+            x=x,
+        )
         chk.ok(theta(tx) == x, "involution", x=x)
 
 
@@ -494,9 +499,14 @@ def _suite_norm_similitude(n, trials, rng, chk):
     gram = even_space(n).gram()
     for _ in range(_heavy(n, trials)):
         g = _rand_gspin(n, rng)
-        chk.ok(theta(g).spinor_norm() == g.spinor_norm(), "norm is twist-invariant", g=g)
+        # fully checked: theta and inverse would carry the norm of g over
         chk.ok(
-            g.inverse().spinor_norm() * g.spinor_norm() == _ONE,
+            GPinElement(theta(g).elt).spinor_norm() == g.spinor_norm(),
+            "norm is twist-invariant",
+            g=g,
+        )
+        chk.ok(
+            GPinElement(g.inverse().elt).spinor_norm() * g.spinor_norm() == _ONE,
             "norm of the inverse",
             g=g,
         )

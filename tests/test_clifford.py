@@ -26,6 +26,7 @@ from gspin.clifford import (
     theta_element,
 )
 from gspin.exact import SQRT_M1, GaussRat, Mat
+from gspin.rootdata import TorusCoordinates, torus_point
 
 
 def gen(space, j):
@@ -189,20 +190,71 @@ def test_spinor_norm_multiplicative():
         space = even_space(n)
         for _ in range(10):
             g, h = random_gpin(space, rng), random_gpin(space, rng)
-            assert spinor_norm(g * h) == spinor_norm(g) * spinor_norm(h)
+            # fully checked product: g * h composes its norm from N(g) N(h)
+            assert spinor_norm(GPinElement(g.elt * h.elt)) == spinor_norm(g) * spinor_norm(h)
 
 
 def test_gpin_rejects_bad_elements():
     v = even_space(3)
-    with pytest.raises(ValueError):
-        GPinElement(CliffordElement.zero(v))
-    with pytest.raises(ValueError):
-        GPinElement(one(v) + gen(v, 1))          # not homogeneous
-    with pytest.raises(ValueError):
-        GPinElement(gen(v, 1))                    # isotropic vector, norm 0
-    with pytest.raises(ValueError):
-        # x*beta(x) = -2 e1e2e3e4, not a scalar
-        GPinElement(gen(v, 1) * gen(v, 2) + gen(v, 3) * gen(v, 4))
+    # 2 + w1...w6 for an orthogonal basis of anisotropic vectors: its norm is
+    # a nonzero scalar, but w1...w6 anticommutes with V
+    volume = one(v)
+    for j in (1, 2, 3):
+        volume = volume * (gen(v, j) + gen(v, 3 + j)) * (gen(v, j) - gen(v, 3 + j))
+    cases = [
+        (CliffordElement.zero(v), "zero is not in GPin"),
+        (one(v) + gen(v, 1), "GPin elements must be homogeneous in the grading"),
+        (gen(v, 1), "spinor norm is zero: element is not invertible"),  # isotropic
+        # x*beta(x) = -2 e1e2e3e4
+        (gen(v, 1) * gen(v, 2) + gen(v, 3) * gen(v, 4),
+         "x*beta(x) is not scalar: element is not in GPin"),
+        (one(v) * 2 + volume, "conjugation does not stabilize V: element is not in GPin"),
+    ]
+    for elt, message in cases:
+        with pytest.raises(ValueError) as err:
+            GPinElement(elt)
+        assert str(err.value) == message
+
+
+def test_product_across_spaces_of_equal_dimension_is_rejected():
+    # both lines have dim 1, so the 1x1 pr_circ matrices would multiply
+    g = GPinElement(gen(line_space(2), 1))
+    h = GPinElement(gen(line_space(3), 1))
+    with pytest.raises(ValueError, match="different quadratic spaces"):
+        g * h
+    with pytest.raises(ValueError, match="different quadratic spaces"):
+        h * g
+
+
+def _assert_matches_full_check(x):
+    y = GPinElement(x.elt)
+    assert x.elt == y.elt
+    assert x.space == y.space
+    assert x.parity == y.parity
+    assert x.norm == y.norm
+    assert x.pr_circ() == y.pr_circ()
+    assert x._inv_elt == y._inv_elt
+
+
+ORACLE_SPACES = ([even_space(n) for n in (3, 4, 5)] + [odd_space(n) for n in (3, 4, 5)]
+                 + [line_space(GaussRat(-3))])
+
+
+@pytest.mark.parametrize("space", ORACLE_SPACES, ids=repr)
+def test_composed_elements_match_full_check(space):
+    rng = Random(71 + 10 * space.dim + len(space.kind))
+    g = random_gpin(space, rng, factors=1)
+    h = random_gpin(space, rng, factors=2)
+    assert (g.parity, h.parity) == (1, 0)
+    composed = [g * h, h * g, g * g, h * h, g.inverse(), h.inverse()]
+    composed += [x ** k for x in (g, h) for k in (-2, 0, 3)]
+    if space.kind == "even":
+        composed += [theta(g), theta(h), theta(g * h)]
+        s = TorusCoordinates([GaussRat(rng.choice((-1, 1)) * rng.randint(2, 5))
+                              for _ in range(space.n + 1)])
+        composed += [torus_point(s), torus_point(s) * g]
+    for x in composed:
+        _assert_matches_full_check(x)
 
 
 def test_gpin_inverse_and_power():
@@ -252,7 +304,8 @@ def test_pr_circ_homomorphism():
     space = even_space(3)
     for _ in range(8):
         g, h = random_gpin(space, rng), random_gpin(space, rng)
-        assert pr_circ(g * h) == pr_circ(g) * pr_circ(h)
+        # fully checked product: g * h composes its pr_circ from those of g and h
+        assert pr_circ(GPinElement(g.elt * h.elt)) == pr_circ(g) * pr_circ(h)
 
 
 def test_kernel_of_pr_circ_and_norm_is_mu2():
@@ -412,7 +465,8 @@ def test_theta_on_vector_side():
         tc = theta_circ_matrix(n)
         for _ in range(6):
             g = random_gpin(space, rng)
-            assert pr_circ(theta(g)) == tc * pr_circ(g) * tc
+            # fully checked: theta(g) composes its pr_circ as tc * pr_circ(g) * tc
+            assert pr_circ(GPinElement(theta(g).elt)) == tc * pr_circ(g) * tc
 
 
 def test_theta_on_torus_coordinates():
