@@ -19,7 +19,9 @@ theta_elt = sqrt(-1)*(e_n - e_{2n}).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, inverse, rank
 
@@ -31,35 +33,31 @@ class QuadSpace:
     kind "odd":  dim 2n-1, Q(f_j) = 0 for j <= 2n-2, <f_j, f_{n-1+j}> = 1,
                  Q(f_{2n-1}) = 1 (so <f_{2n-1}, f_{2n-1}> = 2).
     kind "line": dim 1 with a prescribed Q-value on its basis vector.
+
+    ``scale`` is the least positive integer D with D*Q in Z[i] on a line,
+    and 1 otherwise; the product kernel rescales generators by it.
     """
 
-    __slots__ = ("kind", "n", "q_val", "_hash")
+    __slots__ = ("kind", "n", "q_val", "dim", "scale", "_hash")
 
     def __init__(self, kind, n=None, q_val=None):
         if kind == "even":
             if not (isinstance(n, int) and n >= 1):
                 raise ValueError("even space needs n >= 1")
-            self.kind, self.n, self.q_val = kind, n, None
+            self.kind, self.n, self.q_val, self.dim, self.scale = kind, n, None, 2 * n, 1
         elif kind == "odd":
             if not (isinstance(n, int) and n >= 2):
                 raise ValueError("odd space needs n >= 2")
-            self.kind, self.n, self.q_val = kind, n, None
+            self.kind, self.n, self.q_val, self.dim, self.scale = kind, n, None, 2 * n - 1, 1
         elif kind == "line":
             q = _as_gauss(q_val)
             if q is None:
                 raise ValueError("line space needs a Q-value")
-            self.kind, self.n, self.q_val = kind, 1, q
+            self.kind, self.n, self.q_val, self.dim = kind, 1, q, 1
+            self.scale = lcm(q.re.denominator, q.im.denominator)
         else:
             raise ValueError(f"unknown space kind {kind!r}")
         self._hash = hash((self.kind, self.n, self.q_val))
-
-    @property
-    def dim(self):
-        if self.kind == "even":
-            return 2 * self.n
-        if self.kind == "odd":
-            return 2 * self.n - 1
-        return 1
 
     def q(self, j):
         """Q on the j-th basis vector (1-based)."""
@@ -96,31 +94,17 @@ class QuadSpace:
         v, w = list(v), list(w)
         if len(v) != self.dim or len(w) != self.dim:
             raise ValueError("coordinate length mismatch")
-        acc = GaussRat(0)
-        for j, a in enumerate(v):
-            if not a:
-                continue
-            for k, b in enumerate(w):
-                if b:
-                    acc = acc + a * b * self.pair(j + 1, k + 1)
-        return acc
+        return sum((a * b * self.pair(j + 1, k + 1) for j, a in enumerate(v) if a
+                    for k, b in enumerate(w) if b), GaussRat(0))
 
     def quad(self, v):
         """Q(v) for a coordinate sequence, using Q(x+y) = Q(x)+Q(y)+<x,y>."""
         v = list(v)
         if len(v) != self.dim:
             raise ValueError("coordinate length mismatch")
-        acc = GaussRat(0)
-        for j, a in enumerate(v):
-            if a:
-                acc = acc + a * a * self.q(j + 1)
-        for j in range(self.dim):
-            if not v[j]:
-                continue
-            for k in range(j + 1, self.dim):
-                if v[k]:
-                    acc = acc + v[j] * v[k] * self.pair(j + 1, k + 1)
-        return acc
+        return sum((v[j] * v[k] * (self.q(j + 1) if j == k else self.pair(j + 1, k + 1))
+                    for j in range(self.dim) if v[j] for k in range(j, self.dim) if v[k]),
+                   GaussRat(0))
 
     def basis_letter(self):
         return {"even": "e", "odd": "f", "line": "u"}[self.kind]
@@ -166,49 +150,72 @@ def line_space(q_val):
 
 @lru_cache(maxsize=None)
 def _push_generator(space, mono, g):
-    """Multiply the monomial e_mono by e_g on the right.
+    """Multiply the monomial e_mono by the rescaled generator e_g on the right.
 
-    Returns a tuple of (monomial, scalar) pairs.  Folding from the right:
-    e_S e_g with s = max(S): if s < g just append; if s = g contract to
-    Q(g); if s > g use e_s e_g = <e_s,e_g> - e_g e_s.
+    Returns a tuple of (monomial, kr, ki) terms with Gaussian-integer
+    constants kr + ki*i (see `_numerators` for the rescaling).  Folding from
+    the right: e_S e_g with s = max(S): if s < g just append; if s = g
+    contract to Q(g); if s > g use e_s e_g = <e_s,e_g> - e_g e_s.
     """
     if not mono:
-        return (((g,), GaussRat(1)),)
+        return (((g,), 1, 0),)
     s = mono[-1]
     if s < g:
-        return ((mono + (g,), GaussRat(1)),)
+        return ((mono + (g,), 1, 0),)
     if s == g:
-        qg = space.q(g)
-        return ((mono[:-1], qg),) if qg else ()
-    out = []
-    pairing = space.pair(s, g)
-    if pairing:
-        out.append((mono[:-1], pairing))
-    for sub, c in _push_generator(space, mono[:-1], g):
-        out.append((sub + (s,), -c))
+        k = space.q(g) * space.scale ** 2
+        return ((mono[:-1], k.re.numerator, k.im.numerator),) if k else ()
+    # distinct generators: an even or odd space, where <e_s,e_g> is 0 or 1
+    out = [(mono[:-1], 1, 0)] if space.pair(s, g) else []
+    out += [(sub + (s,), -kr, -ki) for sub, kr, ki in _push_generator(space, mono[:-1], g)]
     return tuple(out)
 
 
-def _fold_into(acc, space, mono, c, gens):
-    """Add c * e_mono * e_g1 * e_g2 * ... (g in gens, in order) into acc.
+def _numerators(x):
+    """(den, [(monomial, re, im), ...]): x's coefficients as Gaussian-integer
+    numerators over their least common denominator.
 
-    acc maps monomials to coefficients; the generators are folded in one
-    at a time through _push_generator.  gens are distinct (a basis
-    monomial, or one reversed), every basis vector pairs nontrivially
-    with at most one basis vector, and Q is nonzero only on self-paired
-    ones, so a frontier monomial fixes which generators were contracted:
-    two frontier terms never land on the same monomial within a step.
+    A line space's generator is rescaled to u' = D u with D = ``space.scale``,
+    so Q(u') = D^2 Q(u) is a Gaussian integer and the coefficient of a
+    length-L monomial is divided by D^L here (and multiplied back in
+    `_from_numerators`).  Even and odd spaces have D = 1.
     """
-    frontier = {mono: c}
+    scale = x.space.scale
+    terms = [(m, c / scale ** len(m)) for m, c in x.terms.items()] if scale != 1 else x.terms.items()
+    den = lcm(*(d for _, c in terms for d in (c.re.denominator, c.im.denominator)))
+    return den, [(m, c.re.numerator * (den // c.re.denominator),
+                  c.im.numerator * (den // c.im.denominator)) for m, c in terms]
+
+
+def _fold(space, frontier, gens):
+    """The terms of (sum of frontier terms) * e_g1 * e_g2 * ..., g in gens.
+
+    frontier lists (monomial, re, im) terms; the generators are folded in
+    one at a time through _push_generator.  gens are distinct (a basis
+    monomial, or one reversed), every basis vector pairs nontrivially with
+    at most one basis vector, and Q is nonzero only on self-paired ones, so
+    the terms that grow out of one monomial never land on the same
+    monomial within a step: a plain list loses no merging, and equal
+    monomials from different starting terms are summed once, at the end.
+    """
     for g in gens:
-        nxt = {}
-        for m, cm in frontier.items():
-            for m2, c2 in _push_generator(space, m, g):
-                nxt[m2] = cm * c2
-        frontier = nxt
-    for m, cm in frontier.items():
+        frontier = [(m2, re * kr - im * ki, re * ki + im * kr)
+                    for m, re, im in frontier for m2, kr, ki in _push_generator(space, m, g)]
+    return frontier
+
+
+def _from_numerators(space, terms, den):
+    """The element sum of terms over den, undoing the line rescaling."""
+    acc = {}
+    for m, re, im in terms:
         prev = acc.get(m)
-        acc[m] = cm if prev is None else prev + cm
+        acc[m] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    out = {}
+    for m, (re, im) in acc.items():
+        if re or im:
+            f = space.scale ** len(m)
+            out[m] = GaussRat._fast(Fraction(re * f, den), Fraction(im * f, den))
+    return CliffordElement._raw(space, out)
 
 
 class CliffordElement:
@@ -230,6 +237,13 @@ class CliffordElement:
                 raise ValueError(f"monomial {mono} not strictly increasing")
             clean[mono] = cc
         self.terms = clean
+
+    @classmethod
+    def _raw(cls, space, terms):
+        """An element from kernel output: nonzero GaussRat coefficients on valid monomials."""
+        self = object.__new__(cls)
+        self.space, self.terms = space, terms
+        return self
 
     @classmethod
     def scalar(cls, space, c):
@@ -327,15 +341,16 @@ class CliffordElement:
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            acc = {}
-            for mb, cb in other.terms.items():
-                for ma, ca in self.terms.items():
-                    _fold_into(acc, self.space, ma, ca * cb, mb)
-            return CliffordElement(self.space, acc)
+            da, a = _numerators(self)
+            db, b = _numerators(other)
+            terms = (t for mb, br, bi in b for t in _fold(
+                self.space, [(ma, ar * br - ai * bi, ar * bi + ai * br) for ma, ar, ai in a], mb))
+            return _from_numerators(self.space, terms, da * db)
         o = _as_gauss(other)
         if o is None:
             return NotImplemented
-        return CliffordElement(self.space, {m: c * o for m, c in self.terms.items()})
+        return CliffordElement._raw(self.space,
+                                    {m: c * o for m, c in self.terms.items()} if o else {})
 
     def __rmul__(self, other):
         o = _as_gauss(other)
@@ -368,23 +383,16 @@ class CliffordElement:
     def __hash__(self):
         return hash((self.space, frozenset(self.terms.items())))
 
+    def _sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
     def __repr__(self):
-        if not self.terms:
-            return "0"
         letter = self.space.basis_letter()
-        parts = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[mono]
-            body = "*".join(f"{letter}{j}" for j in mono)
-            if not body:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*{body}")
-        return " + ".join(parts)
+        return " + ".join(f"({c})" + "".join(f"*{letter}{j}" for j in m)
+                          for m, c in self._sorted_terms()) or "0"
 
     def to_json(self):
-        terms = [{"indices": list(m), "coeff": str(c)}
-                 for m, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))]
+        terms = [{"indices": list(m), "coeff": str(c)} for m, c in self._sorted_terms()]
         return {"space": self.space.to_json(), "terms": terms}
 
     @classmethod
@@ -403,10 +411,9 @@ def beta(x):
     contain hyperbolic partners, so the reversed product is folded out in
     full.)
     """
-    acc = {}
-    for m, c in x.terms.items():
-        _fold_into(acc, x.space, (), c, reversed(m))
-    return CliffordElement(x.space, acc)
+    den, terms = _numerators(x)
+    return _from_numerators(x.space, (t for m, re, im in terms
+                                      for t in _fold(x.space, [((), re, im)], reversed(m))), den)
 
 
 class GPinElement:
@@ -546,17 +553,9 @@ def theta_circ_matrix(n):
     This is pr_circ of the theta element: conjugation by a vector w acts on
     V as v -> (<v,w>/Q(w)) w - v, the negated reflection in w.
     """
-    rows = []
-    for i in range(2 * n):
-        row = [GaussRat(0)] * (2 * n)
-        if i == n - 1:
-            row[2 * n - 1] = GaussRat(-1)
-        elif i == 2 * n - 1:
-            row[n - 1] = GaussRat(-1)
-        else:
-            row[i] = GaussRat(-1)
-        rows.append(row)
-    return Mat(rows)
+    swap = {n - 1: 2 * n - 1, 2 * n - 1: n - 1}
+    return Mat([[GaussRat(-1 if j == swap.get(i, i) else 0) for j in range(2 * n)]
+                for i in range(2 * n)])
 
 
 def theta(g):

@@ -563,8 +563,10 @@ def center(tag, n):
 def torus_clifford_element(c, a, b):
     """The group element c * prod_i (a_i e_i e_{n+i} + b_i e_{n+i} e_i).
 
-    Each of the n + 1 factors is small and fully checked; their product
-    composes the norm, pr_circ and inverse of the point from theirs.
+    A factor with a_i = b_i is the scalar a_i (e_i e_{n+i} + e_{n+i} e_i = 1)
+    and is folded into c.  The scalar and the other factors are small and
+    fully checked; their product composes the norm, pr_circ and inverse of
+    the point from theirs.
     """
     a = [_coerce_scalar(x) for x in a]
     b = [_coerce_scalar(x) for x in b]
@@ -575,11 +577,15 @@ def torus_clifford_element(c, a, b):
         raise ValueError("torus parameters must be nonzero")
     n = len(a)
     space = even_space(n)
+    for ai, bi in zip(a, b):
+        if ai == bi:
+            c = c * ai
     t = GPinElement(CliffordElement.scalar(space, c))
     for i in range(1, n + 1):
-        ei = CliffordElement.generator(space, i)
-        eni = CliffordElement.generator(space, n + i)
-        t = t * GPinElement(ei * eni * a[i - 1] + eni * ei * b[i - 1])
+        if a[i - 1] != b[i - 1]:
+            ei = CliffordElement.generator(space, i)
+            eni = CliffordElement.generator(space, n + i)
+            t = t * GPinElement(ei * eni * a[i - 1] + eni * ei * b[i - 1])
     return t
 
 

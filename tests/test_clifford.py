@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from gspin import clifford
 from gspin.clifford import (
     CliffordElement,
     GPinElement,
@@ -26,7 +27,7 @@ from gspin.clifford import (
     theta_element,
 )
 from gspin.exact import SQRT_M1, GaussRat, Mat
-from gspin.rootdata import TorusCoordinates, torus_point
+from gspin.rootdata import TorusCoordinates, torus_clifford_element, torus_point
 
 
 def gen(space, j):
@@ -252,9 +253,38 @@ def test_composed_elements_match_full_check(space):
         composed += [theta(g), theta(h), theta(g * h)]
         s = TorusCoordinates([GaussRat(rng.choice((-1, 1)) * rng.randint(2, 5))
                               for _ in range(space.n + 1)])
-        composed += [torus_point(s), torus_point(s) * g]
+        # a factor with a_i = b_i is the scalar a_i and is folded into c (for
+        # torus points, every s_i = 1); the points must still equal the
+        # product of all n + 1 factors
+        ones = [GaussRat(1)] * space.n
+        for t in (s, TorusCoordinates([s[0]] + ones), TorusCoordinates([s[0], s[1]] + ones[1:])):
+            assert torus_point(t).elt == torus_element(space, t[0], t.s[1:], ones).elt
+            composed.append(torus_point(t))
+        a, b = s.s[1:], [s[1]] + ones[1:]
+        t = torus_clifford_element(s[0], a, b)
+        assert t.elt == torus_element(space, s[0], a, b).elt
+        composed += [t, torus_point(s) * g]
     for x in composed:
         _assert_matches_full_check(x)
+
+
+def test_product_memo_is_bounded_by_monomials_times_generators():
+    # The kernel memoizes one push of a generator onto a monomial, so a
+    # space of dimension d can hold at most 2^d * d entries across all of
+    # gspin.clifford's caches; a table of monomial pairs (up to 4^d) or a
+    # second memo beside the first would overflow it on a dense n = 5 check.
+    n = 5
+    space = even_space(n)
+    rng = Random(5)
+    x = one(space)
+    for _ in range(4):
+        x = x * random_vector(space, rng, span=3, nnz=space.dim)
+    assert len(x.terms) > 150
+    caches = [f for f in vars(clifford).values() if hasattr(f, "cache_info")]
+    for f in caches:
+        f.cache_clear()
+    GPinElement(x)
+    assert sum(f.cache_info().currsize for f in caches) <= 2 ** (2 * n) * 2 * n
 
 
 def test_gpin_inverse_and_power():

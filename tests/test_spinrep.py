@@ -13,9 +13,11 @@ from gspin.clifford import (
     beta,
     even_space,
     i_std,
+    line_space,
     odd_space,
     random_gpin,
     random_gspin,
+    std_split,
     theta,
     theta_element,
 )
@@ -264,41 +266,80 @@ def test_act_of_monomial_is_generators_right_to_left(space):
                 assert act(c, {u: ONE}) == expected, (mono, u)
 
 
+def _rand_coeff(rng):
+    """A Gaussian rational with denominators in 2..9 and a nonzero real part."""
+    re = 0
+    while not re:
+        re = rng.randint(-3, 3)
+    im = rng.randint(-2, 2)
+    return GaussRat(Fraction(re, rng.randint(2, 9)), Fraction(im, rng.randint(2, 9)))
+
+
 def _mixed_element(sp, rng):
     """A scalar, a generator and a few random monomials with Gaussian
-    coefficients: never homogeneous, usually not in any group."""
-    terms = {(): GaussRat(rng.randint(1, 3), rng.randint(-2, 2)),
-             (rng.randint(1, sp.dim),): GaussRat(rng.randint(-3, 3), 1)}
+    rational coefficients over different denominators: never homogeneous,
+    usually not in any group."""
+    terms = {(): _rand_coeff(rng), (rng.randint(1, sp.dim),): _rand_coeff(rng)}
     for _ in range(rng.randint(2, 4)):
-        mono = tuple(sorted(rng.sample(range(1, sp.dim + 1), rng.randint(2, 4))))
-        terms[mono] = GaussRat(rng.randint(-3, 3), rng.randint(-2, 2))
+        mono = tuple(sorted(rng.sample(range(1, sp.dim + 1), rng.randint(2, min(4, sp.dim)))))
+        terms[mono] = _rand_coeff(rng)
     return CliffordElement(sp, terms)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_action_matrix_oracle_for_product_and_beta(n):
-    # The Fock module is faithful, so action matrices check the monomial
-    # fold shared by x*y and beta without going through the product code:
-    # the matrix of beta(e_s1...e_sr) is the generator matrices multiplied
-    # in reverse order.  Up to n = 3 every pair of basis monomials is an
-    # input too, so the fold meets each generator against itself, its
-    # hyperbolic partner and every other generator.
-    rng = random.Random(40 + n)
-    sp = even_space(n)
+def _module_generators(sp):
+    """A faithful module of C(sp): (basis, {j: matrix of the j-th generator}).
+
+    The even space acts on its Fock module.  The odd space maps to the even
+    space of the same n along std_split, an isometric embedding, and the
+    induced map of Clifford algebras is injective, so its generators act on
+    that Fock module through their vector images.
+    """
+    n = sp.n
     basis = fock_basis(n).subsets
+    if sp.kind == "even":
+        images = [gen(sp, j) for j in range(1, sp.dim + 1)]
+    else:
+        images = std_split(n).images1
+    return basis, {j + 1: _action_matrix(v, basis, basis) for j, v in enumerate(images)}
+
+
+@pytest.mark.parametrize("sp", [even_space(2), even_space(3), even_space(4), odd_space(2),
+                                odd_space(3)],
+                         ids=lambda sp: str(sp.n) if sp.kind == "even" else f"odd-{sp.n}")
+def test_action_matrix_oracle_for_product_and_beta(sp):
+    # A faithful module checks the monomial fold shared by x*y and beta
+    # without going through the product code: the matrix of a monomial is
+    # the product of its generator matrices, and the matrix of
+    # beta(e_s1...e_sr) is that product in reverse order.  On the even
+    # space the matrix of an element also comes from the module action of
+    # whole monomials.  On the odd space f_{2n-1} has Q = 1, the one nonzero
+    # contraction constant outside line spaces.  Up to n = 3 every pair of
+    # basis monomials is an input too, so the fold meets each generator
+    # against itself, its hyperbolic partner and every other generator.
+    n = sp.n
+    rng = random.Random(40 + n + 10 * (sp.kind == "odd"))
+    basis, gens = _module_generators(sp)
     mats = {}
 
     def mat(c):
         if c not in mats:
-            mats[c] = _action_matrix(c, basis, basis)
+            want = Mat.zeros(len(basis))
+            for mono, coeff in c.terms.items():
+                term = Mat.identity(len(basis)) * coeff
+                for j in mono:
+                    term = term * gens[j]
+                want = want + term
+            if sp.kind == "even":
+                assert _action_matrix(c, basis, basis) == want
+            mats[c] = want
         return mats[c]
 
-    gens = {j: mat(gen(sp, j)) for j in range(1, 2 * n + 1)}
+    isotropic = sp.dim if sp.kind == "even" else sp.dim - 1
     elements = []
     pairs = []
     for _ in range(4):
         x = _mixed_element(sp, rng)
-        y = _mixed_element(sp, rng) * gen(sp, rng.randint(1, 2 * n))  # y*e_j = 0: singular
+        y = _mixed_element(sp, rng) * gen(sp, rng.randint(1, isotropic))  # y*e_j = 0: singular
         assert not x.is_homogeneous()
         assert rank(mat(y)) < len(basis)
         elements += [x, y]
@@ -306,13 +347,13 @@ def test_action_matrix_oracle_for_product_and_beta(n):
     if n <= 3:
         monos = [
             CliffordElement.monomial(sp, m)
-            for r in range(2 * n + 1)
-            for m in combinations(range(1, 2 * n + 1), r)
+            for r in range(sp.dim + 1)
+            for m in combinations(range(1, sp.dim + 1), r)
         ]
         elements += monos
         pairs += [(x, y) for x in monos for y in monos]
     for x, y in pairs:
-        assert _action_matrix(x * y, basis, basis) == mat(x) * mat(y)
+        assert mat(x * y) == mat(x) * mat(y)
     for z in elements:
         want = Mat.zeros(len(basis))
         for mono, c in z.terms.items():
@@ -321,6 +362,23 @@ def test_action_matrix_oracle_for_product_and_beta(n):
                 term = gens[j] * term
             want = want + term
         assert mat(beta(z)) == want
+
+
+@pytest.mark.parametrize("q", [GaussRat(-1), GaussRat(2), GaussRat(Fraction(1, 2)),
+                               GaussRat(Fraction(2, 3), Fraction(1, 5))], ids=str)
+def test_line_space_product_and_beta(q):
+    # On a line, (c0 + c1 u)(d0 + d1 u) = (c0 d0 + q c1 d1) + (c0 d1 + c1 d0) u
+    # and beta is the identity; the kernel rescales u to make Q(u) a
+    # Gaussian integer, which must not show in the result.
+    sp = line_space(q)
+    rng = random.Random(97)
+    for _ in range(12):
+        c0, c1, d0, d1 = (_rand_coeff(rng) for _ in range(4))
+        x = CliffordElement(sp, {(): c0, (1,): c1})
+        y = CliffordElement(sp, {(): d0, (1,): d1})
+        assert x * y == CliffordElement(sp, {(): c0 * d0 + q * c1 * d1, (1,): c0 * d1 + c1 * d0})
+        assert beta(x) == x
+        assert CliffordElement.generator(sp, 1) * CliffordElement.monomial(sp, (1,), c1) == c1 * q
 
 
 def test_action_matrix_rejects_images_outside_target():
