@@ -42,7 +42,7 @@ from .rootdata import (
     simple_roots,
     spin_weights,
 )
-from .spinrep import fock_basis, half_spin_matrix, odd_module_basis, spin_matrix
+from .spinrep import half_spin_matrix, spin_basis, spin_matrix
 from .suites import SUITES, SuiteFailure, _Checker
 
 
@@ -296,23 +296,13 @@ def _table_ht_weights(args):
 
 def _table_spin_matrix(args):
     g = _parse_element(args.element, "--element")
-    if args.eps == "full":
-        sm = spin_matrix(g)
-        if g.space.kind == "even":
-            basis = fock_basis(g.space.n).manifest()
-        else:
-            basis = [list(u) for u in odd_module_basis(g.space.n)]
-    else:
-        sm = half_spin_matrix(g, _parse_eps(args.eps))
-        fb = fock_basis(g.space.n)
-        block = fb.even_subsets if args.eps == "+" else fb.odd_subsets
-        basis = [list(u) for u in block]
+    sm = spin_matrix(g) if args.eps == "full" else half_spin_matrix(g, _parse_eps(args.eps))
     return {
         "kind": "spin-matrix",
         "space": g.space.to_json(),
         "epsilon": sm.epsilon,
         "matrix": sm.mat.to_json(),
-        "basis": basis,
+        "basis": [list(u) for u in spin_basis(g.space, sm.epsilon)],
     }
 
 

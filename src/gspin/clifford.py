@@ -36,28 +36,32 @@ class QuadSpace:
 
     ``scale`` is the least positive integer D with D*Q in Z[i] on a line,
     and 1 otherwise; the product kernel rescales generators by it.
+
+    There is one object per space: every construction returns the
+    instance for its (kind, n, Q), so spaces compare by identity.
     """
 
-    __slots__ = ("kind", "n", "q_val", "dim", "scale", "_hash")
+    __slots__ = ("kind", "n", "q_val", "dim", "scale")
+    _interned = {}
 
-    def __init__(self, kind, n=None, q_val=None):
-        if kind == "even":
-            if not (isinstance(n, int) and n >= 1):
-                raise ValueError("even space needs n >= 1")
-            self.kind, self.n, self.q_val, self.dim, self.scale = kind, n, None, 2 * n, 1
-        elif kind == "odd":
-            if not (isinstance(n, int) and n >= 2):
-                raise ValueError("odd space needs n >= 2")
-            self.kind, self.n, self.q_val, self.dim, self.scale = kind, n, None, 2 * n - 1, 1
+    def __new__(cls, kind, n=None, q_val=None):
+        if kind == "even" or kind == "odd":
+            least = 1 if kind == "even" else 2
+            if not (type(n) is int and n >= least):
+                raise ValueError(f"{kind} space needs n >= {least}")
+            key, dim, scale = (kind, n, None), 2 * n if kind == "even" else 2 * n - 1, 1
         elif kind == "line":
             q = _as_gauss(q_val)
             if q is None:
                 raise ValueError("line space needs a Q-value")
-            self.kind, self.n, self.q_val, self.dim = kind, 1, q, 1
-            self.scale = lcm(q.re.denominator, q.im.denominator)
+            key, dim, scale = (kind, 1, q), 1, lcm(q.re.denominator, q.im.denominator)
         else:
             raise ValueError(f"unknown space kind {kind!r}")
-        self._hash = hash((self.kind, self.n, self.q_val))
+        self = cls._interned.get(key)
+        if self is None:
+            self = cls._interned[key] = object.__new__(cls)
+            (self.kind, self.n, self.q_val), self.dim, self.scale = key, dim, scale
+        return self
 
     def q(self, j):
         """Q on the j-th basis vector (1-based)."""
@@ -81,7 +85,7 @@ class QuadSpace:
         return GaussRat(0)
 
     def _check_index(self, j):
-        if not (isinstance(j, int) and 1 <= j <= self.dim):
+        if not (type(j) is int and 1 <= j <= self.dim):
             raise ValueError(f"basis index {j} out of range for dim {self.dim}")
 
     def gram(self):
@@ -108,16 +112,6 @@ class QuadSpace:
 
     def basis_letter(self):
         return {"even": "e", "odd": "f", "line": "u"}[self.kind]
-
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if not isinstance(other, QuadSpace):
-            return NotImplemented
-        return (self.kind, self.n, self.q_val) == (other.kind, other.n, other.q_val)
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         if self.kind == "line":
@@ -231,7 +225,7 @@ class CliffordElement:
             if not cc:
                 continue
             mono = tuple(mono)
-            if any(not (1 <= j <= space.dim) for j in mono):
+            if any(type(j) is not int or not 1 <= j <= space.dim for j in mono):
                 raise ValueError(f"monomial {mono} out of range")
             if any(mono[k] >= mono[k + 1] for k in range(len(mono) - 1)):
                 raise ValueError(f"monomial {mono} not strictly increasing")
@@ -631,13 +625,14 @@ def _vector_coords(target, images, source):
 def _embed(x, source, target, images):
     if x.space != source:
         raise ValueError("element does not live in the declared source space")
-    acc = CliffordElement.zero(target)
+    acc = {}
     for mono, c in x.terms.items():
         prod = CliffordElement.scalar(target, c)
         for j in mono:
             prod = prod * images[j - 1]
-        acc = acc + prod
-    return acc
+        for m, d in prod.terms.items():
+            acc[m] = acc[m] + d if m in acc else d
+    return CliffordElement(target, acc)
 
 
 def c_phi(x, y, split):

@@ -192,11 +192,22 @@ def _eps_label(eps):
     return "+" if _eps_value(eps) == 1 else "-"
 
 
-def _cached_matrix(x, label, src):
-    """x's matrix on span(src), kept on the element under label."""
+def spin_basis(space, label):
+    """The module basis subsets indexing the matrices labelled "full", "+" or
+    "-" of elements of space: the whole Fock basis or one of its blocks on
+    the even space, the whole module on the odd one."""
+    if space.kind == "odd":
+        return odd_module_basis(space.n)
+    fb = fock_basis(space.n)
+    return {"full": fb.subsets, "+": fb.even_subsets, "-": fb.odd_subsets}[label]
+
+
+def _cached_matrix(x, label):
+    """x's matrix on spin_basis(x.space, label), kept on the element under label."""
     mat = x._spin.get(label)
     if mat is None:
-        mat = x._spin[label] = _action_matrix(x.elt, src, src)
+        basis = spin_basis(x.space, label)
+        mat = x._spin[label] = _action_matrix(x.elt, basis, basis)
     return mat
 
 
@@ -209,14 +220,9 @@ def spin_matrix(x):
     """
     if not isinstance(x, GPinElement):
         raise TypeError("spin_matrix expects a GPinElement")
-    space = x.space
-    if space.kind == "even":
-        basis = fock_basis(space.n).subsets
-    elif space.kind == "odd":
-        basis = odd_module_basis(space.n)
-    else:
+    if x.space.kind not in ("even", "odd"):
         raise ValueError("spin_matrix needs an even- or odd-space element")
-    return SpinMatrix("full", _cached_matrix(x, "full", basis))
+    return SpinMatrix("full", _cached_matrix(x, "full"))
 
 
 def half_spin_matrix(x, eps):
@@ -228,9 +234,7 @@ def half_spin_matrix(x, eps):
     if x.parity != 0:
         raise ValueError("odd-parity element has no half-spin matrix")
     label = _eps_label(eps)
-    fb = fock_basis(x.space.n)
-    block = fb.even_subsets if label == "+" else fb.odd_subsets
-    return SpinMatrix(label, _cached_matrix(x, label, block))
+    return SpinMatrix(label, _cached_matrix(x, label))
 
 
 def theta_intertwiner(n):

@@ -6,9 +6,11 @@ import json
 import shutil
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gspin import cli, suites
 from gspin.cli import SUITES, main
@@ -213,11 +215,16 @@ _CAP = "n must be at most 8"
         (["table", "spin-matrix", "--element", _scalar_element_json("1", kind="odd", n=9)], _CAP),
         (["table", "conj", "--g", _scalar_element_json("1", n=9),
           "--h", _scalar_element_json("1", n=9)], _CAP),
+        (["table", "spin-matrix", "--element", _scalar_element_json("1", n=True)],
+         "bad element for --element: even space needs n >= 1"),
+        (["table", "spin-matrix", "--element", json.dumps(
+            {"space": {"kind": "even", "n": 2}, "terms": [{"indices": [1.0], "coeff": "1"}]})],
+         "bad element for --element: monomial (1.0,) out of range"),
     ],
     ids=["zero-denominator", "non-string-coeff", "unwritable-out",
          "n-cap-verify-range", "n-cap-verify", "n-cap-weights", "n-cap-center", "n-cap-roots",
          "n-cap-ht-weights", "n-cap-h1", "n-cap-spin-matrix", "n-cap-spin-matrix-odd",
-         "n-cap-conj"],
+         "n-cap-conj", "bool-n", "float-index"],
 )
 def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -227,6 +234,60 @@ def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     assert proc.returncode == 2
     assert f"gspin: error: {error}" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Malformed element payloads for the fuzz test below.  Each mutation of a
+# valid element makes it invalid, so no payload reaches 2^n work.
+_WRONG = [True, False, 1.0, "3", None, [], [3], {}]
+_BAD_VALUES = {
+    "n": st.sampled_from(_WRONG) | st.integers(-3, 0) | st.integers(9, 10 ** 6),
+    "kind": st.sampled_from([True, 1.0, "3", None, [], ["even"], "EVEN", "line"]),
+    "q": st.sampled_from([True, 1.0, 3, None, [], "3x", "1/0", ""]),
+    "indices": st.sampled_from([True, 1.0, "3", None, 7, [True], [1.0], ["1"], [None],
+                                [0], [99], [2, 1], [1, 1], [[1]]]),
+    "coeff": st.sampled_from([True, 1.0, 3, None, [], {}, "abc", "1/0", "", "0"]),
+    "space": st.sampled_from(_WRONG),
+    "terms": st.sampled_from([True, 1.0, "3", None, 7, [True], [None], ["x"]]),
+}
+
+
+@st.composite
+def _malformed_elements(draw):
+    kind = draw(st.sampled_from(["even", "odd", "line"]))
+    n = draw(st.integers(2, 3))
+    space = {"kind": kind, "q": "2"} if kind == "line" else {"kind": kind, "n": n}
+    term = {"indices": [], "coeff": "1"}
+    data = {"space": space, "terms": [term]}
+    owners = {"kind": space, "n": space, "q": space, "indices": term, "coeff": term,
+              "space": data, "terms": data}
+    key = draw(st.sampled_from([k for k in owners if k != ("n" if kind == "line" else "q")]))
+    how = draw(st.sampled_from(["wrong", "missing", "payload", "truncated"]))
+    if how == "wrong":
+        owners[key][key] = draw(_BAD_VALUES[key])
+    elif how == "missing":
+        del owners[key][key]
+    elif how == "payload":
+        data = draw(st.sampled_from(_WRONG + [[data]]))
+    text = json.dumps(data)
+    return text[:draw(st.integers(1, len(text) - 1))] if how == "truncated" else text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_malformed_elements(), st.sampled_from(["--element", "--g", "--h"]))
+@example(_scalar_element_json("1", n=True), "--element")
+@example(json.dumps({"space": {"kind": "line", "q": "2"},
+                     "terms": [{"indices": [True], "coeff": "1"}]}), "--g")
+def test_malformed_element_json_exits_2(text, flag):
+    scalar = _scalar_element_json("1", n=2)
+    argv = {"--element": ["table", "spin-matrix", "--element", text],
+            "--g": ["table", "conj", "--g", text, "--h", scalar],
+            "--h": ["table", "conj", "--g", scalar, "--h", text]}[flag]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(argv)
+    assert rc == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().startswith("gspin: error: ")
 
 
 def test_argparse_errors_exit_2():

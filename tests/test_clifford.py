@@ -1,5 +1,8 @@
 """Tests for the Clifford algebra layer and the GPin/GSpin machinery."""
 
+import json
+import re
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -9,6 +12,7 @@ from gspin.clifford import (
     CliffordElement,
     GPinElement,
     OrthogonalSplit,
+    QuadSpace,
     beta,
     c_phi,
     even_space,
@@ -75,6 +79,70 @@ def test_space_gram_symmetric():
     for space in (even_space(2), odd_space(3), line_space(GaussRat(-1))):
         g = space.gram()
         assert g == g.transpose()
+
+
+@pytest.mark.parametrize("kind, n", [("even", 1), ("even", 4), ("odd", 2), ("odd", 5)])
+def test_each_space_is_one_object(kind, n):
+    space = {"even": even_space, "odd": odd_space}[kind](n)
+    assert QuadSpace(kind, n) is space
+    assert QuadSpace.from_json(space.to_json()) is space
+    assert QuadSpace.from_json(json.loads(json.dumps(space.to_json()))) is space
+    assert not {"__eq__", "__hash__"} & set(vars(QuadSpace))
+    assert "_hash" not in QuadSpace.__slots__
+
+
+def test_line_spaces_are_one_object_per_q():
+    assert line_space(-1) is std_split(3).source2
+    half = line_space(Fraction(1, 2))
+    assert half is line_space(GaussRat(Fraction(1, 2)))
+    assert QuadSpace.from_json(half.to_json()) is half
+    assert half.scale == 2
+
+
+def test_distinct_spaces_are_distinct_objects():
+    spaces = [even_space(2), even_space(3), odd_space(2), odd_space(3), line_space(1),
+              line_space(-1), line_space(GaussRat(1, 1)), line_space(Fraction(1, 2))]
+    assert len({id(s) for s in spaces}) == len(spaces)
+    assert even_space(2) != even_space(3)
+    assert even_space(2) != odd_space(2)
+    assert line_space(1) != line_space(-1)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("even", 0), "even space needs n >= 1"),
+    (("even", True), "even space needs n >= 1"),
+    (("even", 2.0), "even space needs n >= 1"),
+    (("even", "3"), "even space needs n >= 1"),
+    (("odd", 1), "odd space needs n >= 2"),
+    (("odd", False), "odd space needs n >= 2"),
+    (("line",), "line space needs a Q-value"),
+    (("plane", 2), "unknown space kind 'plane'"),
+])
+def test_space_validation_messages(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        QuadSpace(*args)
+
+
+def test_spaces_survive_clearing_the_clifford_caches():
+    # The intern table is not a functools cache: clearing those must not
+    # split a space into two objects.
+    x = gen(even_space(4), 1)
+    for f in vars(clifford).values():
+        if hasattr(f, "cache_clear"):
+            f.cache_clear()
+    assert even_space(4) is x.space
+    assert x * gen(even_space(4), 5) == CliffordElement.monomial(even_space(4), (1, 5))
+
+
+@pytest.mark.parametrize("mono", [(1.0,), (True,), (1, 2.0), ("1",)])
+def test_monomial_indices_must_be_ints(mono):
+    with pytest.raises(ValueError, match="out of range"):
+        CliffordElement(even_space(2), {mono: 1})
+
+
+def test_generator_index_must_be_an_int():
+    with pytest.raises(ValueError, match="out of range"):
+        CliffordElement.generator(even_space(2), True)
 
 
 # -------------------------------------------------------------------- mul
@@ -388,6 +456,15 @@ def test_c_phi_index_map_example():
     v = split.target
     want = gen(v, 1) * (gen(v, n) + gen(v, 2 * n))
     assert got == want
+    # e1' -> e_3 and e2' -> e_1 + e_2 in V_4, so e1'e2' -> 1 - e_1e_3 - e_2e_3
+    # and the scalar of e1'e2' - 1 cancels in the embedding.
+    v = even_space(2)
+    split = OrthogonalSplit(v, even_space(1), [gen(v, 3), gen(v, 1) + gen(v, 2)],
+                            even_space(1), [gen(v, 2), gen(v, 4) - gen(v, 3)])
+    x = CliffordElement(split.source1, {(1, 2): 1, (): -1})
+    got = split.embed1(x)
+    assert got.terms == {(1, 3): GaussRat(-1), (2, 3): GaussRat(-1)}
+    assert c_phi(x, one(split.source2), split) == got
 
 
 def test_c_phi_rejects_non_orthogonal_split():
