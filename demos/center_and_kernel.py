@@ -9,6 +9,7 @@ from gspin import (
     Mat,
     center,
     central_char,
+    coords_of,
     half_spin_matrix,
     mu_eps,
     torus_point,
@@ -43,5 +44,5 @@ a, b = 3, -1
 for eps in (1, -1):
     val = central_char(n, eps, a, b)
     mu = mu_eps(n, eps)
-    direct = mu.evaluate(torus_point((a,) + (b,) * n).coords_of())
+    direct = mu.evaluate(coords_of(torus_point((a,) + (b,) * n)))
     print(f"  eps={eps:+d}: formula {val}, evaluating mu_eps {direct}, agree: {val == direct}")

@@ -50,5 +50,5 @@ for eps in (1, -1):
 # every diagonal entry of a half-spin matrix is one of the 2^(n-1) spin weights
 tt = torus_point((1, 2, 3, 4, 5))
 wts = spin_weights(n, 1)
-diag = [half_spin_matrix(tt, "+").mat.entry(k, k) for k in range(2 ** (n - 1))]
+diag = [half_spin_matrix(tt, "+").mat[k, k] for k in range(2 ** (n - 1))]
 print("\nplus-block diagonal equals the weight values:", sorted(map(str, diag)) == sorted(str(w.evaluate(t)) for w in wts))

@@ -31,14 +31,14 @@ print("odd block: ", fb.odd_subsets)
 t = torus_point((1, 2, 3, 5))
 sm = spin_matrix(t)
 print("\nspin matrix of the torus point (1,2,3,5) is diagonal:", sm.mat.is_diagonal())
-diag = [sm.mat.entry(j, j) for j in range(len(fb))]
+diag = [sm.mat[j, j] for j in range(len(fb))]
 print("diagonal entries (s0 * prod over the subset):", diag)
 
 plus = half_spin_matrix(t, "+")
 minus = half_spin_matrix(t, "-")
 print("half-spin blocks have size", plus.mat.nrows, "and split the diagonal:")
-print("  plus: ", [plus.mat.entry(k, k) for k in range(plus.mat.nrows)])
-print("  minus:", [minus.mat.entry(k, k) for k in range(minus.mat.nrows)])
+print("  plus: ", [plus.mat[k, k] for k in range(plus.mat.nrows)])
+print("  minus:", [minus.mat[k, k] for k in range(minus.mat.nrows)])
 
 rng = random.Random(5)
 g = random_gspin(t.space, rng)

@@ -42,7 +42,7 @@ from .rootdata import (
     simple_roots,
     spin_weights,
 )
-from .spinrep import half_spin_matrix, spin_basis, spin_matrix
+from .spinrep import _eps_label, half_spin_matrix, spin_basis, spin_matrix
 from .suites import SUITES, SuiteFailure, _Checker
 
 
@@ -215,10 +215,6 @@ def _parse_eps(text):
     raise _UsageError(f"cannot parse epsilon value {text!r}")
 
 
-def _eps_str(eps):
-    return "+" if eps == 1 else "-"
-
-
 def _parse_element(text, what):
     try:
         data = json.loads(text)
@@ -238,7 +234,7 @@ def _table_weights(args):
     return {
         "kind": "weights",
         "n": args.n,
-        "epsilon": _eps_str(eps),
+        "epsilon": _eps_label(eps),
         "mu": list(mu_eps(args.n, eps).coords),
         "weights": [list(w.coords) for w in ws],
     }
@@ -284,7 +280,7 @@ def _table_ht_weights(args):
     return {
         "kind": "ht-weights",
         "n": args.n,
-        "epsilon": _eps_str(eps),
+        "epsilon": _eps_label(eps),
         "lam": lam,
         "multiplicity": args.mult,
         "b_shift": list(shifted),

@@ -415,17 +415,19 @@ class GPinElement:
 
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
-    conjugation must send every basis vector back into V.  The vector
-    representation matrix (pr_circ) and the norm are cached, and `_spin`
-    holds the spin and half-spin matrices (keyed "full", "+", "-") that
-    spinrep computes for this element, so they live as long as it does.
+    conjugation must send every basis vector back into V.  An element holds
+    what that check verified: `elt`, `space`, `parity`, `norm` (the spinor
+    norm) and `_pr_circ` (the matrix of v -> x v x^{-1}), plus `_spin`, the
+    spin and half-spin matrices (keyed "full", "+", "-") that spinrep
+    computes for this element, so they live as long as it does.
 
     The group is closed under products, inverses, powers and theta, so
-    those operations derive the cached data of their result from verified
-    operands (`_composed`) instead of checking membership again.
+    those operations derive the data of their result from verified
+    operands (`_composed`) instead of checking membership again.  The
+    inverse element beta(x)/N is computed only by `inverse()`.
     """
 
-    __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_inv_elt", "_spin")
+    __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_spin")
 
     def __init__(self, elt):
         if not isinstance(elt, CliffordElement):
@@ -444,10 +446,10 @@ class GPinElement:
         self.norm = nrm.scalar_value()
         if not self.norm:
             raise ValueError("spinor norm is zero: element is not invertible")
-        self._inv_elt = b / self.norm
+        inv = b / self.norm
         cols = []
         for j in range(1, self.space.dim + 1):
-            image = elt * CliffordElement.generator(self.space, j) * self._inv_elt
+            image = elt * CliffordElement.generator(self.space, j) * inv
             coords = image.as_vector()
             if coords is None:
                 raise ValueError("conjugation does not stabilize V: element is not in GPin")
@@ -456,11 +458,11 @@ class GPinElement:
         self._spin = {}
 
     @classmethod
-    def _composed(cls, elt, parity, norm, pr_circ, inv_elt):
+    def _composed(cls, elt, parity, norm, pr_circ):
         """An element whose data follow from verified operands; nothing is checked."""
         self = object.__new__(cls)
         self.elt, self.space, self.parity, self.norm = elt, elt.space, parity, norm
-        self._pr_circ, self._inv_elt, self._spin = pr_circ, inv_elt, {}
+        self._pr_circ, self._spin = pr_circ, {}
         return self
 
     @property
@@ -478,33 +480,23 @@ class GPinElement:
     def spinor_norm(self):
         return self.norm
 
-    def coords_of(self):
-        """Spinor-side torus coordinates, if this is a torus element."""
-        from .rootdata import coords_of
-
-        return coords_of(self)
-
     def inverse(self):
-        return GPinElement._composed(self._inv_elt, self.parity, 1 / self.norm,
-                                     inverse(self._pr_circ), self.elt)
+        return GPinElement._composed(beta(self.elt) / self.norm, self.parity, 1 / self.norm,
+                                     inverse(self._pr_circ))
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
             return NotImplemented
-        elt = self.elt * other.elt
-        norm = self.norm * other.norm
-        return GPinElement._composed(elt, (self.parity + other.parity) % 2, norm,
-                                     self._pr_circ * other._pr_circ, beta(elt) / norm)
+        return GPinElement._composed(self.elt * other.elt, (self.parity + other.parity) % 2,
+                                     self.norm * other.norm, self._pr_circ * other._pr_circ)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** -k
-        elt = self.elt ** k
-        norm = self.norm ** k
-        return GPinElement._composed(elt, self.parity * k % 2, norm,
-                                     self._pr_circ ** k, beta(elt) / norm)
+        return GPinElement._composed(self.elt ** k, self.parity * k % 2, self.norm ** k,
+                                     self._pr_circ ** k)
 
     def __eq__(self, other):
         if not isinstance(other, GPinElement):
@@ -516,19 +508,6 @@ class GPinElement:
 
     def __repr__(self):
         return f"GPin<{self.elt!r}>"
-
-
-def spinor_norm(x):
-    """The spinor norm N(x) = x*beta(x) of a GPin element."""
-    return x.spinor_norm()
-
-
-def pr_circ(x):
-    return x.pr_circ()
-
-
-def pr(x):
-    return x.pr()
 
 
 def theta_element(space):
@@ -557,10 +536,8 @@ def theta(g):
     if g.space.kind != "even":
         raise ValueError("theta is defined on the even-space group")
     th = theta_element(g.space)
-    elt = th * g.elt * th
     t = theta_circ_matrix(g.space.n)
-    return GPinElement._composed(elt, g.parity, g.norm, t * g._pr_circ * t,
-                                 beta(elt) / g.norm)
+    return GPinElement._composed(th * g.elt * th, g.parity, g.norm, t * g._pr_circ * t)
 
 
 class OrthogonalSplit:

@@ -22,7 +22,7 @@ representation.
 from collections import Counter
 from itertools import product
 
-from .clifford import GPinElement, even_space, theta
+from .clifford import GPinElement, even_space, std_split, theta
 from .exact import GaussRat, Mat, _Value, charpoly, inverse, jordan_partition
 from .spinrep import half_spin_matrix, spin_matrix
 
@@ -124,8 +124,6 @@ def principal_nilpotent(n):
     """
     if not (isinstance(n, int) and n >= 3):
         raise ValueError("principal_nilpotent needs an integer n >= 3")
-    from .clifford import std_split
-
     d = 2 * n - 1
     zero, one = GaussRat(0), GaussRat(1)
     rows = [[zero] * (d + 1) for _ in range(d + 1)]

@@ -373,15 +373,9 @@ class Mat:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def entry(self, i, j):
-        return self.rows[i][j]
-
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
 
     def transpose(self):
         return Mat(tuple(zip(*self.rows)))

@@ -421,6 +421,8 @@ def parity_subsets(n, eps):
 
 def spin_weights(n, eps):
     """The 2^{n-1} weights e_0* + sum_{i in U} e_i*, sorted by coordinates."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
     out = []
     for u in parity_subsets(n, eps):
         coords = [1] + [0] * n
@@ -565,8 +567,8 @@ def torus_clifford_element(c, a, b):
 
     A factor with a_i = b_i is the scalar a_i (e_i e_{n+i} + e_{n+i} e_i = 1)
     and is folded into c.  The scalar and the other factors are small and
-    fully checked; their product composes the norm, pr_circ and inverse of
-    the point from theirs.
+    fully checked; their product composes the norm and pr_circ of the
+    point from theirs.
     """
     a = [_coerce_scalar(x) for x in a]
     b = [_coerce_scalar(x) for x in b]

@@ -72,10 +72,6 @@ class FockBasis:
     def __len__(self):
         return len(self.subsets)
 
-    def manifest(self):
-        """Ordered subset list, JSON-friendly."""
-        return [list(u) for u in self.subsets]
-
 
 @lru_cache(maxsize=None)
 def fock_basis(n):

@@ -1031,8 +1031,12 @@ def _suite_fock_basis(n, trials, rng, chk):
     om = list(odd_module_basis(n))
     chk.ok(len(om) == 2 ** (n - 1), "odd module basis size")
     chk.ok([mask(u) for u in om] == sorted(mask(u) for u in om), "odd module colex order")
-    chk.ok(fb.manifest() == [list(u) for u in fb.subsets], "manifest matches the ordering")
     sp = even_space(n)
+    th = theta_element(sp)
+    chk.ok(
+        all(act(th, {u: _ONE}) == {v: SQRT_M1} for u, v in zip(fb.even_subsets, fb.odd_subsets)),
+        "theta element sends each even basis vector to sqrt(-1) times its odd partner",
+    )
     for u in (evens[0], evens[-1]):
         m = CliffordElement.monomial(sp, u)
         chk.ok(m.coefficient(u) == _ONE, "monomial coefficient", u=list(u))

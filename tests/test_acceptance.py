@@ -44,6 +44,7 @@ from gspin.hodge import ht_multiset, ht_via_spin_weights, is_spin_regular, is_st
 from gspin.rootdata import (
     TorusCoordinates,
     center,
+    coords_of,
     mu_eps,
     pairing,
     scalar_in_coords,
@@ -146,7 +147,7 @@ def test_criterion_04_torus_theta_and_norm():
                 want = want * s[j]
             assert t.spinor_norm() == want
             if k % 10 == 0:
-                assert theta(t).coords_of() == ts
+                assert coords_of(theta(t)) == ts
     report(4, "theta and norm on 100 random torus points for each n = 3..6")
 
 

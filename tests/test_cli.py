@@ -220,11 +220,13 @@ _CAP = "n must be at most 8"
         (["table", "spin-matrix", "--element", json.dumps(
             {"space": {"kind": "even", "n": 2}, "terms": [{"indices": [1.0], "coeff": "1"}]})],
          "bad element for --element: monomial (1.0,) out of range"),
+        (["table", "weights", "--n", "2", "--eps", "+"], "n >= 3 required"),
+        (["table", "weights", "--n", "-2", "--eps", "+"], "n >= 3 required"),
     ],
     ids=["zero-denominator", "non-string-coeff", "unwritable-out",
          "n-cap-verify-range", "n-cap-verify", "n-cap-weights", "n-cap-center", "n-cap-roots",
          "n-cap-ht-weights", "n-cap-h1", "n-cap-spin-matrix", "n-cap-spin-matrix-odd",
-         "n-cap-conj", "bool-n", "float-index"],
+         "n-cap-conj", "bool-n", "float-index", "weights-n-2", "weights-n-negative"],
 )
 def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

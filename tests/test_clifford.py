@@ -19,12 +19,9 @@ from gspin.clifford import (
     i_std,
     line_space,
     odd_space,
-    pr,
-    pr_circ,
     random_gpin,
     random_gspin,
     random_vector,
-    spinor_norm,
     std_split,
     theta,
     theta_circ_matrix,
@@ -231,12 +228,12 @@ def test_spinor_norm_of_scalar_is_square():
     v = even_space(3)
     for c in (GaussRat(2), GaussRat(-3), SQRT_M1, GaussRat(1, 2)):
         g = GPinElement(CliffordElement.scalar(v, c))
-        assert spinor_norm(g) == c * c
+        assert g.spinor_norm() == c * c
 
 
 def test_spinor_norm_of_theta_element():
     g = GPinElement(theta_element(even_space(4)))
-    assert spinor_norm(g) == 1
+    assert g.spinor_norm() == 1
 
 
 def test_spinor_norm_of_torus_element():
@@ -250,7 +247,7 @@ def test_spinor_norm_of_torus_element():
         want = c * c
         for ai, bi in zip(a, b):
             want = want * ai * bi
-        assert spinor_norm(t) == want
+        assert t.spinor_norm() == want
 
 
 def test_spinor_norm_multiplicative():
@@ -260,7 +257,7 @@ def test_spinor_norm_multiplicative():
         for _ in range(10):
             g, h = random_gpin(space, rng), random_gpin(space, rng)
             # fully checked product: g * h composes its norm from N(g) N(h)
-            assert spinor_norm(GPinElement(g.elt * h.elt)) == spinor_norm(g) * spinor_norm(h)
+            assert GPinElement(g.elt * h.elt).spinor_norm() == g.spinor_norm() * h.spinor_norm()
 
 
 def test_gpin_rejects_bad_elements():
@@ -302,7 +299,7 @@ def _assert_matches_full_check(x):
     assert x.parity == y.parity
     assert x.norm == y.norm
     assert x.pr_circ() == y.pr_circ()
-    assert x._inv_elt == y._inv_elt
+    assert x.elt * x.inverse().elt == CliffordElement.one(x.space)
 
 
 ORACLE_SPACES = ([even_space(n) for n in (3, 4, 5)] + [odd_space(n) for n in (3, 4, 5)]
@@ -355,6 +352,40 @@ def test_product_memo_is_bounded_by_monomials_times_generators():
     assert sum(f.cache_info().currsize for f in caches) <= 2 ** (2 * n) * 2 * n
 
 
+def test_group_operations_derive_no_inverse(monkeypatch):
+    # beta(x)/N is the inverse element; only inverse() and the membership
+    # check of a new element compute it.
+    space = even_space(4)
+    rng = Random(23)
+    g, h = random_gpin(space, rng), random_gpin(space, rng)
+    s = TorusCoordinates((2, 3, 5, 7, 11))
+    counts = {"beta": 0, "checks": 0}
+    full_beta, full_check = clifford.beta, GPinElement.__init__
+
+    def counting_beta(x):
+        counts["beta"] += 1
+        return full_beta(x)
+
+    def counting_check(self, elt):
+        counts["checks"] += 1
+        full_check(self, elt)
+
+    monkeypatch.setattr(clifford, "beta", counting_beta)
+    monkeypatch.setattr(GPinElement, "__init__", counting_check)
+
+    def cost(op):
+        counts.update(beta=0, checks=0)
+        op()
+        return counts["beta"], counts["checks"]
+
+    assert cost(lambda: g * h) == (0, 0)
+    assert cost(lambda: g ** 3) == (0, 0)
+    assert cost(lambda: theta(g)) == (0, 0)
+    assert cost(lambda: g.inverse()) == (1, 0)
+    # a torus point checks its n + 1 small factors in full and composes the rest
+    assert cost(lambda: torus_point(s)) == (5, 5)
+
+
 def test_gpin_inverse_and_power():
     rng = Random(19)
     space = even_space(3)
@@ -369,13 +400,13 @@ def test_gpin_inverse_and_power():
 def test_pr_circ_of_scalar_is_identity():
     v = even_space(3)
     g = GPinElement(CliffordElement.scalar(v, GaussRat(7)))
-    assert pr_circ(g) == Mat.identity(6)
+    assert g.pr_circ() == Mat.identity(6)
 
 
 def test_pr_circ_of_theta_element():
     for n in (2, 3, 4):
         g = GPinElement(theta_element(even_space(n)))
-        assert pr_circ(g) == theta_circ_matrix(n)
+        assert g.pr_circ() == theta_circ_matrix(n)
 
 
 def test_pr_circ_of_torus_is_diagonal():
@@ -384,7 +415,7 @@ def test_pr_circ_of_torus_is_diagonal():
     b = [GaussRat(1), GaussRat(1), GaussRat(2)]
     t = torus_element(space, GaussRat(1), a, b)
     s = [ai / bi for ai, bi in zip(a, b)]
-    assert pr_circ(t) == Mat.diag(s + [GaussRat(1) / si for si in s])
+    assert t.pr_circ() == Mat.diag(s + [GaussRat(1) / si for si in s])
 
 
 def test_pr_circ_preserves_form():
@@ -393,7 +424,7 @@ def test_pr_circ_preserves_form():
         for space in (even_space(n), odd_space(n)):
             gram = space.gram()
             for _ in range(6):
-                m = pr_circ(random_gpin(space, rng))
+                m = random_gpin(space, rng).pr_circ()
                 assert m.transpose() * gram * m == gram
 
 
@@ -403,7 +434,7 @@ def test_pr_circ_homomorphism():
     for _ in range(8):
         g, h = random_gpin(space, rng), random_gpin(space, rng)
         # fully checked product: g * h composes its pr_circ from those of g and h
-        assert pr_circ(GPinElement(g.elt * h.elt)) == pr_circ(g) * pr_circ(h)
+        assert GPinElement(g.elt * h.elt).pr_circ() == g.pr_circ() * h.pr_circ()
 
 
 def test_kernel_of_pr_circ_and_norm_is_mu2():
@@ -412,7 +443,7 @@ def test_kernel_of_pr_circ_and_norm_is_mu2():
     hits = []
     for c in (GaussRat(1), GaussRat(-1), SQRT_M1, -SQRT_M1, GaussRat(2)):
         g = GPinElement(CliffordElement.scalar(v, c))
-        if pr_circ(g) == Mat.identity(6) and spinor_norm(g) == 1:
+        if g.pr_circ() == Mat.identity(6) and g.spinor_norm() == 1:
             hits.append(c)
     assert hits == [GaussRat(1), GaussRat(-1)]
 
@@ -421,10 +452,10 @@ def test_kernel_of_pr_circ_and_norm_is_mu2():
 
 def test_pr_examples():
     v = even_space(3)
-    assert pr(GPinElement(one(v))) == Mat.identity(6)
+    assert GPinElement(one(v)).pr() == Mat.identity(6)
     g = GPinElement(CliffordElement.scalar(v, GaussRat(3)))
-    assert pr(g) == Mat.identity(6) * GaussRat(9)
-    assert pr(GPinElement(theta_element(v))) == theta_circ_matrix(3)
+    assert g.pr() == Mat.identity(6) * GaussRat(9)
+    assert GPinElement(theta_element(v)).pr() == theta_circ_matrix(3)
 
 
 def test_pr_factorization_and_similitude():
@@ -434,10 +465,10 @@ def test_pr_factorization_and_similitude():
         gram = space.gram()
         for _ in range(8):
             g = random_gpin(space, rng)
-            m = pr(g)
-            assert m == pr_circ(g) * spinor_norm(g)
+            m = g.pr()
+            assert m == g.pr_circ() * g.spinor_norm()
             # sim(pr(g)) = N(g)^2: M^T G M = sim * G
-            assert m.transpose() * gram * m == gram * (spinor_norm(g) ** 2)
+            assert m.transpose() * gram * m == gram * (g.spinor_norm() ** 2)
 
 
 # ------------------------------------------------------------------ c_phi
@@ -493,12 +524,12 @@ def test_c_phi_block_diagonal_on_even_pairs():
         g = random_gspin(split.source1, rng)
         h = random_gspin(split.source2, rng)
         big = GPinElement(c_phi(g.elt, h.elt, split))
-        gm, hm = pr_circ(g), pr_circ(h)
+        gm, hm = g.pr_circ(), h.pr_circ()
         block = Mat([[gm[0, 0], gm[0, 1], 0, 0],
                      [gm[1, 0], gm[1, 1], 0, 0],
                      [0, 0, hm[0, 0], hm[0, 1]],
                      [0, 0, hm[1, 0], hm[1, 1]]])
-        assert pr_circ(big) == p * block * pinv
+        assert big.pr_circ() == p * block * pinv
 
 
 def test_c_phi_graded_beta_rule():
@@ -573,7 +604,7 @@ def test_theta_on_vector_side():
         for _ in range(6):
             g = random_gpin(space, rng)
             # fully checked: theta(g) composes its pr_circ as tc * pr_circ(g) * tc
-            assert pr_circ(GPinElement(theta(g).elt)) == tc * pr_circ(g) * tc
+            assert GPinElement(theta(g).elt).pr_circ() == tc * g.pr_circ() * tc
 
 
 def test_theta_on_torus_coordinates():
@@ -590,7 +621,7 @@ def test_theta_on_torus_coordinates():
             s0 = s0 * bi
         s = [ai / bi for ai, bi in zip(a, b)]
         tt = theta(t)
-        diag = pr_circ(tt)
+        diag = tt.pr_circ()
         assert diag.is_diagonal()
         got_s = [diag[i, i] for i in range(n)]
         assert got_s == s[:-1] + [GaussRat(1) / s[-1]]

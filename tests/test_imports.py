@@ -1,4 +1,4 @@
-"""Every top-level import of a gspin module is used by that module."""
+"""Every import of a gspin module is at top level and used by that module."""
 
 import ast
 from pathlib import Path
@@ -32,3 +32,29 @@ def test_no_unused_top_level_imports(path):
 def test_unused_import_is_reported():
     source = "import json\nimport os.path\nfrom x import a as b, c\nprint(os.sep, c)\n"
     assert _unused_imports(source) == [(1, "json"), (3, "b")]
+
+
+def _function_level_imports(source):
+    """(line, module) for each import statement inside a function body."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found.add((node.lineno, node.names[0].name))
+                elif isinstance(node, ast.ImportFrom):
+                    found.add((node.lineno, "." * node.level + (node.module or "")))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_function_level_imports(path):
+    assert _function_level_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_function_level_import_is_reported():
+    source = ("import json\n"
+              "def f():\n    from .rootdata import coords_of\n    return coords_of\n"
+              "class C:\n    def g(self):\n        def h():\n            import os\n"
+              "        return h\n")
+    assert _function_level_imports(source) == [(3, ".rootdata"), (8, "os")]

@@ -514,7 +514,7 @@ def test_coords_of_products_and_norm():
         t1, t2 = torus_point(s1), torus_point(s2)
         assert coords_of(t1 * t2) == s1 * s2
         assert t1.spinor_norm() == s1.spinor_norm()
-    assert torus_point(rand_coords(4, rng)).coords_of() is not None
+    assert coords_of(torus_point(rand_coords(4, rng))) is not None
 
 
 def test_coords_of_rejects_non_torus():

@@ -102,7 +102,7 @@ def test_fock_basis_index_and_blocks():
 
 
 def test_fock_basis_manifest():
-    assert fock_basis(2).manifest() == [[], [1, 2], [2], [1]]
+    assert fock_basis(2).subsets == [(), (1, 2), (2,), (1,)]
 
 
 def test_odd_module_basis():
