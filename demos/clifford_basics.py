@@ -35,7 +35,9 @@ print("\ng = v*w as a group element")
 print("parity:", g.parity, " spinor norm:", g.spinor_norm())
 print("conjugation action on vectors (pr_circ):")
 print(g.pr_circ())
-print("twisted conjugation pr = norm * pr_circ:", g.pr() == g.pr_circ() * g.spinor_norm())
+twisted = Mat.from_cols([(g.elt * gen(sp, j) * beta(g.elt)).as_vector()
+                         for j in range(1, sp.dim + 1)])
+print("twisted conjugation pr = norm * pr_circ:", twisted == g.pr_circ() * g.spinor_norm())
 
 rng = random.Random(7)
 a = random_gspin(sp, rng)

@@ -65,7 +65,6 @@ from .hodge import (
     ht_via_spin_weights,
     is_spin_regular,
     is_std_regular,
-    p_eps,
 )
 from .rootdata import (
     CenterDescriptor,
@@ -133,7 +132,7 @@ __all__ = [
     "InvolutionModule", "Cocycle", "H1Result", "involution_module",
     "z1_b1_h1", "norm_map_image", "check_extension_criterion",
     "extension_classes",
-    "HighestWeight", "HTMultiset", "p_eps", "b_shift", "ht_multiset",
+    "HighestWeight", "HTMultiset", "b_shift", "ht_multiset",
     "ht_via_spin_weights", "is_std_regular", "is_spin_regular",
     "__version__",
 ]

@@ -33,6 +33,7 @@ from .cocycle import involution_module, norm_map_image, z1_b1_h1
 from .conjugacy import fingerprint, is_conjugate_gpin, is_conjugate_gspin, is_outer_conjugate
 from .hodge import b_shift, ht_multiset, is_spin_regular, is_std_regular
 from .rootdata import (
+    _eps_value,
     center,
     coroots,
     mu_eps,
@@ -42,7 +43,7 @@ from .rootdata import (
     simple_roots,
     spin_weights,
 )
-from .spinrep import _eps_label, half_spin_matrix, spin_basis, spin_matrix
+from .spinrep import half_spin_matrix, spin_basis, spin_matrix
 from .suites import SUITES, SuiteFailure, _Checker
 
 
@@ -207,14 +208,6 @@ def _emit(text, out_path):
 # table command
 
 
-def _parse_eps(text):
-    if text in ("+", "+1", "1"):
-        return 1
-    if text in ("-", "-1"):
-        return -1
-    raise _UsageError(f"cannot parse epsilon value {text!r}")
-
-
 def _parse_element(text, what):
     try:
         data = json.loads(text)
@@ -229,12 +222,12 @@ def _parse_element(text, what):
 
 
 def _table_weights(args):
-    eps = _parse_eps(args.eps)
+    eps = _eps_value(args.eps)
     ws = spin_weights(args.n, eps)
     return {
         "kind": "weights",
         "n": args.n,
-        "epsilon": _eps_label(eps),
+        "epsilon": args.eps,
         "mu": list(mu_eps(args.n, eps).coords),
         "weights": [list(w.coords) for w in ws],
     }
@@ -269,7 +262,7 @@ def _table_ht_weights(args):
         raise _UsageError(f"malformed JSON for --lam: {exc}")
     if not isinstance(lam, list):
         raise _UsageError("--lam must be a JSON list of integers")
-    eps = _parse_eps(args.eps)
+    eps = _eps_value(args.eps)
     try:
         multiset = ht_multiset(args.n, eps, tuple(lam), args.mult)
         shifted = b_shift(tuple(lam))
@@ -280,7 +273,7 @@ def _table_ht_weights(args):
     return {
         "kind": "ht-weights",
         "n": args.n,
-        "epsilon": _eps_label(eps),
+        "epsilon": args.eps,
         "lam": lam,
         "multiplicity": args.mult,
         "b_shift": list(shifted),
@@ -292,7 +285,7 @@ def _table_ht_weights(args):
 
 def _table_spin_matrix(args):
     g = _parse_element(args.element, "--element")
-    sm = spin_matrix(g) if args.eps == "full" else half_spin_matrix(g, _parse_eps(args.eps))
+    sm = spin_matrix(g) if args.eps == "full" else half_spin_matrix(g, args.eps)
     return {
         "kind": "spin-matrix",
         "space": g.space.to_json(),
@@ -308,7 +301,7 @@ def _table_conj(args):
     if g.space != h.space:
         raise _UsageError("the two elements live in different spaces")
     fg, fh = fingerprint(g), fingerprint(h)
-    both_even = g.is_even and h.is_even
+    both_even = fg.is_even and fh.is_even
     inner = is_conjugate_gspin(g, h) if both_even else None
     outer = is_outer_conjugate(g, h) if both_even else None
     gpin = is_conjugate_gpin(g, h)
@@ -385,7 +378,7 @@ def _build_parser():
 
     weights = kinds.add_parser("weights", help="half-spin weight vectors")
     weights.add_argument("--n", type=int, required=True)
-    weights.add_argument("--eps", required=True, help="+ or -")
+    weights.add_argument("--eps", required=True, choices=("+", "-"))
     weights.add_argument("--out", default=None)
 
     center_p = kinds.add_parser("center", help="center structure and torsion")
@@ -399,7 +392,7 @@ def _build_parser():
 
     ht = kinds.add_parser("ht-weights", help="integer weight multiset of a dominant weight")
     ht.add_argument("--n", type=int, required=True)
-    ht.add_argument("--eps", required=True, help="+ or -")
+    ht.add_argument("--eps", required=True, choices=("+", "-"))
     ht.add_argument("--lam", required=True, help="JSON list [a0, a1, ..., an]")
     ht.add_argument("--mult", type=int, default=1)
     ht.add_argument("--out", default=None)

@@ -10,10 +10,11 @@ strictly increasing indices; multiplication folds generators into a
 monomial one at a time using e_j e_k = <e_j,e_k> - e_k e_j for j > k and
 e_j^2 = Q(e_j).  On top of the algebra sit the group elements
 (``GPinElement``: homogeneous, invertible, stabilizing V under
-conjugation), the spinor norm, the vector representations pr_circ and pr,
-the graded embedding ``c_phi`` of an orthogonal decomposition, the
-standard embedding ``i_std`` of the odd group into the even one, and the
-outer automorphism ``theta`` given by conjugation with
+conjugation), the spinor norm, the vector representation pr_circ (twisted
+conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the graded
+embedding ``c_phi`` of an orthogonal decomposition, the standard
+embedding ``i_std`` of the odd group into the even one, and the outer
+automorphism ``theta`` given by conjugation with
 theta_elt = sqrt(-1)*(e_n - e_{2n}).
 """
 
@@ -416,8 +417,9 @@ class GPinElement:
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
     conjugation must send every basis vector back into V.  An element holds
-    what that check verified: `elt`, `space`, `parity`, `norm` (the spinor
-    norm) and `_pr_circ` (the matrix of v -> x v x^{-1}), plus `_spin`, the
+    what that check verified: `elt`, `space`, `parity`, `_norm` (the spinor
+    norm, read by `spinor_norm()`) and `_pr_circ` (the matrix of
+    v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the
     spin and half-spin matrices (keyed "full", "+", "-") that spinrep
     computes for this element, so they live as long as it does.
 
@@ -427,7 +429,7 @@ class GPinElement:
     inverse element beta(x)/N is computed only by `inverse()`.
     """
 
-    __slots__ = ("elt", "space", "parity", "norm", "_pr_circ", "_spin")
+    __slots__ = ("elt", "space", "parity", "_norm", "_pr_circ", "_spin")
 
     def __init__(self, elt):
         if not isinstance(elt, CliffordElement):
@@ -443,10 +445,10 @@ class GPinElement:
         nrm = elt * b
         if not nrm.is_scalar():
             raise ValueError("x*beta(x) is not scalar: element is not in GPin")
-        self.norm = nrm.scalar_value()
-        if not self.norm:
+        self._norm = nrm.scalar_value()
+        if not self._norm:
             raise ValueError("spinor norm is zero: element is not invertible")
-        inv = b / self.norm
+        inv = b / self._norm
         cols = []
         for j in range(1, self.space.dim + 1):
             image = elt * CliffordElement.generator(self.space, j) * inv
@@ -461,41 +463,34 @@ class GPinElement:
     def _composed(cls, elt, parity, norm, pr_circ):
         """An element whose data follow from verified operands; nothing is checked."""
         self = object.__new__(cls)
-        self.elt, self.space, self.parity, self.norm = elt, elt.space, parity, norm
+        self.elt, self.space, self.parity, self._norm = elt, elt.space, parity, norm
         self._pr_circ, self._spin = pr_circ, {}
         return self
-
-    @property
-    def is_even(self):
-        return self.parity == 0
 
     def pr_circ(self):
         """Matrix of v -> x v x^{-1} on the basis of V."""
         return self._pr_circ
 
-    def pr(self):
-        """Matrix of v -> x v beta(x); equals norm * pr_circ."""
-        return self._pr_circ * self.norm
-
     def spinor_norm(self):
-        return self.norm
+        """The scalar x * beta(x)."""
+        return self._norm
 
     def inverse(self):
-        return GPinElement._composed(beta(self.elt) / self.norm, self.parity, 1 / self.norm,
+        return GPinElement._composed(beta(self.elt) / self._norm, self.parity, 1 / self._norm,
                                      inverse(self._pr_circ))
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
             return NotImplemented
         return GPinElement._composed(self.elt * other.elt, (self.parity + other.parity) % 2,
-                                     self.norm * other.norm, self._pr_circ * other._pr_circ)
+                                     self._norm * other._norm, self._pr_circ * other._pr_circ)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverse() ** -k
-        return GPinElement._composed(self.elt ** k, self.parity * k % 2, self.norm ** k,
+        return GPinElement._composed(self.elt ** k, self.parity * k % 2, self._norm ** k,
                                      self._pr_circ ** k)
 
     def __eq__(self, other):
@@ -537,7 +532,7 @@ def theta(g):
         raise ValueError("theta is defined on the even-space group")
     th = theta_element(g.space)
     t = theta_circ_matrix(g.space.n)
-    return GPinElement._composed(th * g.elt * th, g.parity, g.norm, t * g._pr_circ * t)
+    return GPinElement._composed(th * g.elt * th, g.parity, g._norm, t * g._pr_circ * t)
 
 
 class OrthogonalSplit:
@@ -642,20 +637,15 @@ def std_split(n):
 
 
 def i_std(g):
-    """Embed the odd-space group (or algebra) into the even one.
+    """Embed the odd-space group into the even one.
 
-    GPinElements map to GPinElements; plain CliffordElements are pushed
-    through the same algebra map (useful for non-invertible monomials).
+    The algebra map underneath is ``std_split(n).embed1``.
     """
-    if isinstance(g, GPinElement):
-        if g.space.kind != "odd":
-            raise ValueError("i_std embeds the odd-space group")
-        return GPinElement(std_split(g.space.n).embed1(g.elt))
-    if isinstance(g, CliffordElement):
-        if g.space.kind != "odd":
-            raise ValueError("i_std embeds the odd-space algebra")
-        return std_split(g.space.n).embed1(g)
-    raise TypeError("i_std expects a GPinElement or CliffordElement")
+    if not isinstance(g, GPinElement):
+        raise TypeError("i_std expects a GPinElement")
+    if g.space.kind != "odd":
+        raise ValueError("i_std embeds the odd-space group")
+    return GPinElement(std_split(g.space.n).embed1(g.elt))
 
 
 # ------------------------------------------------------------- randomness

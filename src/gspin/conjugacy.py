@@ -85,7 +85,7 @@ def fingerprint(g):
     if g.space.kind != "even":
         raise ValueError("fingerprint is defined on the even-space group")
     cp_std = charpoly(g.pr_circ())
-    if g.is_even:
+    if g.parity == 0:
         cp_plus = charpoly(half_spin_matrix(g, 1).mat)
         cp_minus = charpoly(half_spin_matrix(g, -1).mat)
         return Fingerprint(g.spinor_norm(), cp_std, cp_spin_plus=cp_plus, cp_spin_minus=cp_minus)
@@ -98,7 +98,7 @@ def is_conjugate_gspin(g, h):
     for x in (g, h):
         if not (isinstance(x, GPinElement) and x.space.kind == "even"):
             raise ValueError("is_conjugate_gspin expects even-space GPin elements")
-        if not x.is_even:
+        if x.parity:
             raise ValueError("is_conjugate_gspin expects even-parity elements")
     return fingerprint(g) == fingerprint(h)
 

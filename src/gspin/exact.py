@@ -78,6 +78,8 @@ class GaussRat:
         s = text.strip().replace(" ", "")
         if not s:
             raise ValueError("empty Gaussian rational literal")
+        if "e" in s or "E" in s:
+            raise ValueError(f"exponent literals are not accepted: {text!r}")
         if not s.endswith("i"):
             return cls(Fraction(s))
         body = s[:-1]

@@ -93,13 +93,6 @@ class HTMultiset(_Value):
         }
 
 
-def p_eps(n, eps):
-    """Subsets of {1..n} whose size has the parity prescribed by eps."""
-    if n < 3:
-        raise ValueError("the subset families are used for n >= 3")
-    return list(parity_subsets(n, eps))
-
-
 def b_shift(lam):
     """The rho-style shift (a_0 - n(n-1)/2, a_1 + n-1, ..., a_{n-1} + 1, a_n)."""
     lam = _as_weight(lam)
@@ -119,26 +112,28 @@ def _checked_weight(n, lam, mult):
     return lam
 
 
+def _scaled(values, mult):
+    """Count the values once, then take every count mult times."""
+    return HTMultiset({v: c * mult for v, c in Counter(values).items()}, mult)
+
+
 def ht_multiset(n, eps, lam, mult=1):
     """The weight multiset over I in P^eps(n), each value taken mult times."""
     lam = _checked_weight(n, lam, mult)
     shift_total = n * (n - 1) // 2
     values = []
-    for subset in p_eps(n, eps):
+    for subset in parity_subsets(n, eps):
         inside = sum(lam[i] for i in subset)
         outside = shift_total - sum(n - i for i in subset)
-        values.extend([-lam[0] - inside + outside] * mult)
-    return HTMultiset(values, mult)
+        values.append(-lam[0] - inside + outside)
+    return _scaled(values, mult)
 
 
 def ht_via_spin_weights(n, eps, lam, mult=1):
     """The same multiset computed by pairing b_shift against spin weights."""
     lam = _checked_weight(n, lam, mult)
     b = WeightVector(b_shift(lam), dual=False)
-    values = []
-    for w in spin_weights(n, eps):
-        values.extend([-pairing(b, w)] * mult)
-    return HTMultiset(values, mult)
+    return _scaled((-pairing(b, w) for w in spin_weights(n, eps)), mult)
 
 
 def is_std_regular(lam):

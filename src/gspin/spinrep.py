@@ -63,12 +63,6 @@ class FockBasis:
     def index(self, u):
         return self._index[tuple(u)]
 
-    def block_index(self, u):
-        """(epsilon, position within the epsilon block)."""
-        k = self.index(u)
-        half = 1 << (self.n - 1)
-        return (1, k) if k < half else (-1, k - half)
-
     def __len__(self):
         return len(self.subsets)
 

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -222,11 +223,18 @@ _CAP = "n must be at most 8"
          "bad element for --element: monomial (1.0,) out of range"),
         (["table", "weights", "--n", "2", "--eps", "+"], "n >= 3 required"),
         (["table", "weights", "--n", "-2", "--eps", "+"], "n >= 3 required"),
+        (["table", "spin-matrix", "--element", _scalar_element_json("1e1000000")],
+         "bad element for --element: exponent literals are not accepted"),
+        (["table", "conj", "--g", _scalar_element_json("1e1000000"),
+          "--h", _scalar_element_json("1")], "bad element for --g"),
+        (["table", "conj", "--g", _scalar_element_json("1"),
+          "--h", _scalar_element_json("1+1E1000000i")], "bad element for --h"),
     ],
     ids=["zero-denominator", "non-string-coeff", "unwritable-out",
          "n-cap-verify-range", "n-cap-verify", "n-cap-weights", "n-cap-center", "n-cap-roots",
          "n-cap-ht-weights", "n-cap-h1", "n-cap-spin-matrix", "n-cap-spin-matrix-odd",
-         "n-cap-conj", "bool-n", "float-index", "weights-n-2", "weights-n-negative"],
+         "n-cap-conj", "bool-n", "float-index", "weights-n-2", "weights-n-negative",
+         "exponent-element", "exponent-g", "exponent-h"],
 )
 def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
@@ -247,7 +255,8 @@ _BAD_VALUES = {
     "q": st.sampled_from([True, 1.0, 3, None, [], "3x", "1/0", ""]),
     "indices": st.sampled_from([True, 1.0, "3", None, 7, [True], [1.0], ["1"], [None],
                                 [0], [99], [2, 1], [1, 1], [[1]]]),
-    "coeff": st.sampled_from([True, 1.0, 3, None, [], {}, "abc", "1/0", "", "0"]),
+    "coeff": st.sampled_from([True, 1.0, 3, None, [], {}, "abc", "1/0", "", "0",
+                              "1e1000000", "2-1E1000000i"]),
     "space": st.sampled_from(_WRONG),
     "terms": st.sampled_from([True, 1.0, "3", None, 7, [True], [None], ["x"]]),
 }
@@ -296,6 +305,10 @@ def test_argparse_errors_exit_2():
     assert main(["verify", "--format", "yaml"]) == 2
     assert main(["table", "weights", "--n", "four", "--eps", "+"]) == 2
     assert main(["no-such-command"]) == 2
+    lam = json.dumps([0, 0, 0, 0])
+    for eps in ("1", "+1", "-1", "x"):
+        assert main(["table", "weights", "--n", "3", "--eps", eps]) == 2
+        assert main(["table", "ht-weights", "--n", "3", "--eps", eps, "--lam", lam]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +505,26 @@ def test_table_ht_weights():
     assert rc == 2 and out == ""  # not dominant
     rc, out = run_cli(["table", "ht-weights", "--n", "3", "--eps", "+", "--lam", "nope"])
     assert rc == 2 and out == ""
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_table_ht_weights_huge_mult_scales_counts():
+    argv = ["table", "ht-weights", "--n", "8", "--eps", "+", "--lam", json.dumps([0] * 9)]
+    rc, once = run_json(argv)
+    assert rc == 0
+    # a 1 GiB address-space cap makes a version that materializes every
+    # copy fail fast instead of exhausting the host
+    proc = subprocess.run(
+        [sys.executable, "-m", "gspin.cli", *argv, "--mult", "1000000000"],
+        capture_output=True, text=True, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    many = json.loads(proc.stdout)["multiset"]
+    assert many["multiplicity"] == 10 ** 9
+    assert many["values"] == [[v, c * 10 ** 9] for v, c in once["multiset"]["values"]]
 
 
 def test_table_out_flag(tmp_path):

@@ -297,7 +297,7 @@ def _assert_matches_full_check(x):
     assert x.elt == y.elt
     assert x.space == y.space
     assert x.parity == y.parity
-    assert x.norm == y.norm
+    assert x.spinor_norm() == y.spinor_norm()
     assert x.pr_circ() == y.pr_circ()
     assert x.elt * x.inverse().elt == CliffordElement.one(x.space)
 
@@ -450,12 +450,18 @@ def test_kernel_of_pr_circ_and_norm_is_mu2():
 
 # --------------------------------------------------------------------- pr
 
+def _twisted(g):
+    """Matrix of v -> x v beta(x), computed from the element."""
+    x, bx = g.elt, beta(g.elt)
+    return Mat.from_cols([(x * gen(g.space, j) * bx).as_vector() for j in range(1, g.space.dim + 1)])
+
+
 def test_pr_examples():
     v = even_space(3)
-    assert GPinElement(one(v)).pr() == Mat.identity(6)
+    assert _twisted(GPinElement(one(v))) == Mat.identity(6)
     g = GPinElement(CliffordElement.scalar(v, GaussRat(3)))
-    assert g.pr() == Mat.identity(6) * GaussRat(9)
-    assert GPinElement(theta_element(v)).pr() == theta_circ_matrix(3)
+    assert _twisted(g) == Mat.identity(6) * GaussRat(9)
+    assert _twisted(GPinElement(theta_element(v))) == theta_circ_matrix(3)
 
 
 def test_pr_factorization_and_similitude():
@@ -465,7 +471,7 @@ def test_pr_factorization_and_similitude():
         gram = space.gram()
         for _ in range(8):
             g = random_gpin(space, rng)
-            m = g.pr()
+            m = _twisted(g)
             assert m == g.pr_circ() * g.spinor_norm()
             # sim(pr(g)) = N(g)^2: M^T G M = sim * G
             assert m.transpose() * gram * m == gram * (g.spinor_norm() ** 2)
@@ -565,7 +571,9 @@ def test_i_std_index_map_example():
     w = odd_space(n)
     v = even_space(n)
     x = gen(w, 1) * gen(w, n)          # f_1 f_n, not invertible: algebra-level map
-    assert i_std(x) == gen(v, 1) * gen(v, n + 1)
+    assert std_split(n).embed1(x) == gen(v, 1) * gen(v, n + 1)
+    with pytest.raises(TypeError):
+        i_std(x)
 
 
 def test_i_std_group_morphism():

@@ -159,7 +159,7 @@ def test_odd_conjugation_swaps_halves():
     for _ in range(5):
         g = torus_point(rand_point(n, rng))
         p = random_gpin(sp, rng, factors=3, span=3)
-        assert not p.is_even
+        assert p.parity == 1
         h = p * g * p.inverse()
         fg, fh = fingerprint(g), fingerprint(h)
         assert fh.cp_spin_plus == fg.cp_spin_minus

@@ -13,8 +13,8 @@ from gspin.hodge import (
     ht_via_spin_weights,
     is_spin_regular,
     is_std_regular,
-    p_eps,
 )
+from gspin.rootdata import parity_subsets
 
 
 def random_dominant(n, rng, lo=-6, hi=9):
@@ -66,23 +66,18 @@ def test_ht_multiset_type():
 
 
 def test_p_eps_n3():
-    assert p_eps(3, -1) == [(1,), (2,), (3,), (1, 2, 3)]
-    assert p_eps(3, 1) == [(), (1, 2), (1, 3), (2, 3)]
+    assert parity_subsets(3, -1) == ((1,), (2,), (3,), (1, 2, 3))
+    assert parity_subsets(3, 1) == ((), (1, 2), (1, 3), (2, 3))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_p_eps_partitions_all_subsets(n):
-    plus, minus = p_eps(n, 1), p_eps(n, -1)
+    plus, minus = parity_subsets(n, 1), parity_subsets(n, -1)
     assert len(plus) == 2 ** (n - 1)
     assert len(minus) == 2 ** (n - 1)
     assert len(set(plus) | set(minus)) == 2 ** n
     assert all(len(u) % 2 == 0 for u in plus)
     assert all(len(u) % 2 == 1 for u in minus)
-
-
-def test_p_eps_rejects_small_n():
-    with pytest.raises(ValueError):
-        p_eps(2, 1)
 
 
 def test_b_shift_zero_weight():

@@ -1,9 +1,12 @@
-"""Every import of a gspin module is at top level and used by that module."""
+"""Every import of a gspin module is at top level and used by that module, and
+the package exports exactly the names it imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import gspin
 
 MODULES = sorted(
     p for p in (Path(__file__).resolve().parent.parent / "src" / "gspin").glob("*.py")
@@ -58,3 +61,12 @@ def test_function_level_import_is_reported():
               "class C:\n    def g(self):\n        def h():\n            import os\n"
               "        return h\n")
     assert _function_level_imports(source) == [(3, ".rootdata"), (8, "os")]
+
+
+def test_all_matches_package_imports():
+    tree = ast.parse(Path(gspin.__file__).read_text(encoding="utf-8"))
+    imported = {a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert len(gspin.__all__) == len(set(gspin.__all__))
+    assert set(gspin.__all__) == imported | {"__version__"}
+    assert all(hasattr(gspin, name) for name in gspin.__all__)

@@ -86,4 +86,4 @@ def test_gpin_element_rebuilt_from_json(space, factors, seed):
     g = random_gpin(space, Random(seed), factors=factors)
     h = GPinElement(CliffordElement.from_json(json.loads(json.dumps(g.elt.to_json()))))
     assert h == g
-    assert (h.parity, h.norm, h.pr_circ()) == (g.parity, g.norm, g.pr_circ())
+    assert (h.parity, h.spinor_norm(), h.pr_circ()) == (g.parity, g.spinor_norm(), g.pr_circ())

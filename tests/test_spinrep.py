@@ -96,9 +96,10 @@ def test_fock_basis_index_and_blocks():
     fb = fock_basis(3)
     assert fb.index(()) == 0
     assert fb.index((3,)) == 4
-    assert fb.block_index(()) == (1, 0)
-    assert fb.block_index((3,)) == (-1, 0)
-    assert fb.block_index((2,)) == (-1, 3)
+    assert fb.index((2,)) == 7
+    # the even subsets fill the "+" block, the odd ones the "-" block
+    assert fb.subsets[:4] == fb.even_subsets
+    assert fb.subsets[4:] == fb.odd_subsets
 
 
 def test_fock_basis_manifest():
