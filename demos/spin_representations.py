@@ -9,7 +9,7 @@ import random
 
 from gspin import (
     GaussRat,
-    fock_basis,
+    even_space,
     half_spin_matrix,
     i_std,
     inverse,
@@ -17,21 +17,23 @@ from gspin import (
     pairing_gram,
     psi_matrix,
     random_gspin,
+    spin_basis,
     spin_matrix,
     theta_intertwiner,
     torus_point,
 )
 
 n = 3
-fb = fock_basis(n)
-print(f"Fock basis for n={n}: {len(fb)} subsets of {{1..{n}}}")
-print("even block:", fb.even_subsets)
-print("odd block: ", fb.odd_subsets)
+sp = even_space(n)
+basis = spin_basis(sp, "full")
+print(f"Fock basis for n={n}: {len(basis)} subsets of {{1..{n}}}")
+print("even block:", list(spin_basis(sp, "+")))
+print("odd block: ", list(spin_basis(sp, "-")))
 
 t = torus_point((1, 2, 3, 5))
 sm = spin_matrix(t)
 print("\nspin matrix of the torus point (1,2,3,5) is diagonal:", sm.mat.is_diagonal())
-diag = [sm.mat[j, j] for j in range(len(fb))]
+diag = [sm.mat[j, j] for j in range(len(basis))]
 print("diagonal entries (s0 * prod over the subset):", diag)
 
 plus = half_spin_matrix(t, "+")

@@ -83,7 +83,6 @@ from .rootdata import (
     simple_coroots,
     simple_roots,
     spin_weights,
-    theta_on_center,
     theta_on_coords,
     theta_on_weights,
     torus_clifford_element,
@@ -94,14 +93,12 @@ from .rootdata import (
     z_eps,
 )
 from .spinrep import (
-    FockBasis,
     SpinMatrix,
     act,
-    fock_basis,
     half_spin_matrix,
-    odd_module_basis,
     pairing_gram,
     psi_matrix,
+    spin_basis,
     spin_matrix,
     theta_intertwiner,
     vacuum,
@@ -116,13 +113,13 @@ __all__ = [
     "even_space", "odd_space", "beta", "theta", "theta_element",
     "theta_circ_matrix", "std_split", "i_std", "c_phi",
     "random_vector", "random_gpin", "random_gspin",
-    "FockBasis", "SpinMatrix", "fock_basis", "odd_module_basis", "vacuum",
+    "SpinMatrix", "spin_basis", "vacuum",
     "act", "spin_matrix", "half_spin_matrix", "theta_intertwiner",
     "psi_matrix", "pairing_gram",
     "WeightVector", "TorusCoordinates", "WeylElement", "CenterDescriptor",
     "pairing", "weyl_group", "weyl_act", "weyl_act_spinor",
     "roots", "coroots", "simple_roots", "simple_coroots",
-    "theta_on_coords", "theta_on_weights", "theta_on_center",
+    "theta_on_coords", "theta_on_weights",
     "mu_eps", "parity_subsets", "spin_weights", "central_char",
     "center", "z_eps", "scalar_in_coords",
     "torus_clifford_element", "torus_point", "coords_of",

@@ -208,11 +208,17 @@ def _emit(text, out_path):
 # table command
 
 
-def _parse_element(text, what):
+def _load_json(text, what):
+    # ValueError covers JSONDecodeError and the int digit limit; RecursionError
+    # is what the decoder raises on deeply nested arrays or objects.
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except (RecursionError, ValueError) as exc:
         raise _UsageError(f"malformed JSON for {what}: {exc}")
+
+
+def _parse_element(text, what):
+    data = _load_json(text, what)
     try:
         elt = CliffordElement.from_json(data)
         _check_n(elt.space.n)
@@ -256,10 +262,7 @@ def _table_roots(args):
 
 
 def _table_ht_weights(args):
-    try:
-        lam = json.loads(args.lam)
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"malformed JSON for --lam: {exc}")
+    lam = _load_json(args.lam, "--lam")
     if not isinstance(lam, list):
         raise _UsageError("--lam must be a JSON list of integers")
     eps = _eps_value(args.eps)

@@ -383,11 +383,6 @@ def theta_on_weights(v):
     return WeightVector((c[0] + c[-1],) + c[1:-1] + (-c[-1],), False)
 
 
-def theta_on_center(s0, s1):
-    """theta in the (s_0, s_1) coordinates of the spinor-side center."""
-    return (_coerce_scalar(s0) * _coerce_scalar(s1), _coerce_scalar(s1))
-
-
 # ---------------------------------------------------------------------------
 # minuscule weights and half-spin weight multisets
 

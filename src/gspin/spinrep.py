@@ -13,6 +13,7 @@ image of the k-th even one under x -> (theta element)*x / sqrt(-1), which
 works out to the plain monomial of U xor {n}.  That choice makes the
 theta intertwiner literally sqrt(-1) times the identity and turns the
 restriction triangle through psi into an on-the-nose matrix identity.
+spin_basis is the one place that fixes these orders.
 
 The odd-dimensional space V_{2n-1} gets the analogous module on subsets
 of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
@@ -24,60 +25,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 
-from .clifford import CliffordElement, GPinElement, beta, even_space, theta_element
+from .clifford import CliffordElement, GPinElement, beta, even_space, odd_space, theta_element
 from .exact import GaussRat, Mat, _Value
 from .rootdata import _eps_value, parity_subsets
-
-
-class FockBasis:
-    """The ordered basis of the exterior module for V_2n.
-
-    even_subsets: the even-|U| subsets of {1..n} in colex order.
-    odd_subsets:  the theta-images, i.e. U xor {n} for each even U in order.
-    subsets:      even block followed by odd block.
-    sign(U):      the bookkeeping sign (-1)^{#U} relating the basis
-                  monomial m_U to the signed vector b_U = sign(U) * m_U.
-    """
-
-    __slots__ = ("n", "even_subsets", "odd_subsets", "subsets", "_index")
-
-    def __init__(self, n):
-        if n < 1:
-            raise ValueError("n >= 1 required")
-        self.n = n
-        self.even_subsets = list(parity_subsets(n, 1))
-        self.odd_subsets = [self._xor_n(u) for u in self.even_subsets]
-        self.subsets = self.even_subsets + self.odd_subsets
-        self._index = {u: k for k, u in enumerate(self.subsets)}
-        assert len(self.even_subsets) == len(self.odd_subsets) == 2 ** (n - 1)
-
-    def _xor_n(self, u):
-        if self.n in u:
-            return tuple(j for j in u if j != self.n)
-        return tuple(sorted(u + (self.n,)))
-
-    @staticmethod
-    def sign(u):
-        return GaussRat(-1 if len(u) % 2 else 1)
-
-    def index(self, u):
-        return self._index[tuple(u)]
-
-    def __len__(self):
-        return len(self.subsets)
-
-
-@lru_cache(maxsize=None)
-def fock_basis(n):
-    return FockBasis(n)
-
-
-@lru_cache(maxsize=None)
-def odd_module_basis(n):
-    """Basis subsets of the V_{2n-1}-module: subsets of {1..n-1}, colex order."""
-    return tuple(
-        tuple(j + 1 for j in range(n - 1) if mask >> j & 1) for mask in range(1 << (n - 1))
-    )
 
 
 def vacuum():
@@ -182,14 +132,26 @@ def _eps_label(eps):
     return "+" if _eps_value(eps) == 1 else "-"
 
 
+@lru_cache(maxsize=None)
 def spin_basis(space, label):
     """The module basis subsets indexing the matrices labelled "full", "+" or
-    "-" of elements of space: the whole Fock basis or one of its blocks on
-    the even space, the whole module on the odd one."""
+    "-" of elements of space.
+
+    Even space: "+" is the even-degree subsets of {1..n} in colex order,
+    "-" their images U xor {n} in the same order, "full" the "+" block
+    followed by the "-" block.  Odd space: every subset of {1..n-1} in
+    colex order, whatever the label.
+    """
+    n = space.n
     if space.kind == "odd":
-        return odd_module_basis(space.n)
-    fb = fock_basis(space.n)
-    return {"full": fb.subsets, "+": fb.even_subsets, "-": fb.odd_subsets}[label]
+        return tuple(
+            tuple(j + 1 for j in range(n - 1) if mask >> j & 1) for mask in range(1 << (n - 1))
+        )
+    plus = parity_subsets(n, 1)
+    if label == "+":
+        return plus
+    minus = tuple(u[:-1] if u and u[-1] == n else u + (n,) for u in plus)
+    return {"full": plus + minus, "-": minus}[label]
 
 
 def _cached_matrix(x, label):
@@ -233,8 +195,8 @@ def theta_intertwiner(n):
     With this package's basis ordering it equals sqrt(-1) * I by
     construction; the matrix is still computed from the module action.
     """
-    fb = fock_basis(n)
-    return _action_matrix(theta_element(even_space(n)), fb.even_subsets, fb.odd_subsets)
+    space = even_space(n)
+    return _action_matrix(theta_element(space), spin_basis(space, "+"), spin_basis(space, "-"))
 
 
 def psi_matrix(n):
@@ -245,9 +207,8 @@ def psi_matrix(n):
     """
     if n < 2:
         raise ValueError("psi_matrix needs n >= 2")
-    fb = fock_basis(n)
-    offsets = {u: k for k, u in enumerate(fb.even_subsets)}
-    src = odd_module_basis(n)
+    offsets = {u: k for k, u in enumerate(spin_basis(even_space(n), "+"))}
+    src = spin_basis(odd_space(n), "full")
     size = len(src)
     cols = []
     for s in src:
@@ -267,13 +228,13 @@ def pairing_gram(n):
     product coincides with the wedge product.
     """
     space = even_space(n)
-    fb = fock_basis(n)
+    basis = spin_basis(space, "full")
     top = tuple(range(1, n + 1))
     rows = []
-    for u in fb.subsets:
+    for u in basis:
         bu = beta(CliffordElement.monomial(space, u))
         row = []
-        for v in fb.subsets:
+        for v in basis:
             mv = CliffordElement.monomial(space, v)
             row.append((bu * mv).coefficient(top))
         rows.append(row)

@@ -78,7 +78,6 @@ from .rootdata import (
     simple_coroots,
     simple_roots,
     spin_weights,
-    theta_on_center,
     theta_on_coords,
     theta_on_weights,
     torus_point,
@@ -90,11 +89,10 @@ from .rootdata import (
 from .spinrep import (
     _action_matrix,
     act,
-    fock_basis,
     half_spin_matrix,
-    odd_module_basis,
     pairing_gram,
     psi_matrix,
+    spin_basis,
     spin_matrix,
     theta_intertwiner,
     vacuum,
@@ -605,7 +603,13 @@ def _suite_theta_lattices(n, trials, rng, chk):
         )
     chk.ok(theta_on_weights(mu_eps(n, 1)) == mu_eps(n, -1), "swaps the minuscule weights")
     s0, s1 = _rand_scalar(rng), GaussRat(rng.choice((1, -1)))
-    chk.ok(theta_on_center(s0, s1) == (s0 * s1, s1), "center coordinate formula", s0=s0, s1=s1)
+    chk.ok(
+        theta_on_coords(TorusCoordinates((s0,) + (s1,) * n))
+        == TorusCoordinates((s0 * s1,) + (s1,) * n),
+        "center coordinate formula",
+        s0=s0,
+        s1=s1,
+    )
     for _ in range(min(trials, 12)):
         for dual in (False, True):
             v = _rand_weight(n, rng, dual)
@@ -968,7 +972,7 @@ def _suite_pairing_equivariance(n, trials, rng, chk):
             "norm equivariance",
             g=g,
         )
-    basis = fock_basis(n).subsets
+    basis = spin_basis(sp, "full")
     for _ in range(min(trials, 6)):
         v = random_vector(sp, rng, anisotropic=False, span=5)
         a = _action_matrix(v, basis, basis)
@@ -1012,7 +1016,7 @@ def _suite_restriction_minus(n, trials, rng, chk):
         )
     sp = even_space(n)
     top = CliffordElement.generator(sp, 2 * n)
-    for u in fock_basis(n).subsets:
+    for u in spin_basis(sp, "full"):
         if n not in u:
             chk.ok(
                 act(top, {u: _ONE}) == {},
@@ -1022,27 +1026,26 @@ def _suite_restriction_minus(n, trials, rng, chk):
 
 
 @_suite("eq:CliffordExplicitBasis", "ordered subset basis: colex blocks, shift pairing, signs")
-def _suite_fock_basis(n, trials, rng, chk):
-    fb = fock_basis(n)
-    chk.ok(len(fb) == 2 ** n, "size")
+def _suite_spin_basis(n, trials, rng, chk):
+    sp = even_space(n)
+    full, evens, odds = (spin_basis(sp, label) for label in ("full", "+", "-"))
+    chk.ok(len(full) == 2 ** n, "size")
 
     def mask(u):
         return sum(1 << (j - 1) for j in u)
 
-    evens = list(fb.even_subsets)
     chk.ok(all(len(u) % 2 == 0 for u in evens), "even block parity")
     chk.ok([mask(u) for u in evens] == sorted(mask(u) for u in evens), "colex order")
-    sym = [tuple(sorted(set(u) ^ {n})) for u in evens]
-    chk.ok(list(fb.odd_subsets) == sym, "odd block is the n-shift of the even block")
-    chk.ok(fb.sign((1, 2)) == _ONE and fb.sign((1,)) == -_ONE, "bookkeeping sign")
-    chk.ok(all(fb.index(u) == k for k, u in enumerate(fb.subsets)), "index table")
-    om = list(odd_module_basis(n))
+    sym = tuple(tuple(sorted(set(u) ^ {n})) for u in evens)
+    chk.ok(odds == sym, "odd block is the n-shift of the even block")
+    chk.ok(full == evens + odds, "full basis is the + block then the - block")
+    chk.ok(len(set(full)) == len(full), "full basis subsets are distinct")
+    om = spin_basis(odd_space(n), "full")
     chk.ok(len(om) == 2 ** (n - 1), "odd module basis size")
     chk.ok([mask(u) for u in om] == sorted(mask(u) for u in om), "odd module colex order")
-    sp = even_space(n)
     th = theta_element(sp)
     chk.ok(
-        all(act(th, {u: _ONE}) == {v: SQRT_M1} for u, v in zip(fb.even_subsets, fb.odd_subsets)),
+        all(act(th, {u: _ONE}) == {v: SQRT_M1} for u, v in zip(evens, odds)),
         "theta element sends each even basis vector to sqrt(-1) times its odd partner",
     )
     for u in (evens[0], evens[-1]):

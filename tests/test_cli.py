@@ -197,6 +197,8 @@ def _scalar_element_json(coeff, kind="even", n=3):
 
 
 _CAP = "n must be at most 8"
+# Nested deeper than the JSON decoder's recursion limit.
+_NESTED = "[" * 50000
 
 
 @pytest.mark.parametrize(
@@ -229,12 +231,20 @@ _CAP = "n must be at most 8"
           "--h", _scalar_element_json("1")], "bad element for --g"),
         (["table", "conj", "--g", _scalar_element_json("1"),
           "--h", _scalar_element_json("1+1E1000000i")], "bad element for --h"),
+        (["table", "spin-matrix", "--element", _NESTED], "malformed JSON for --element"),
+        (["table", "conj", "--g", _NESTED, "--h", _scalar_element_json("1")],
+         "malformed JSON for --g"),
+        (["table", "conj", "--g", _scalar_element_json("1"), "--h", _NESTED],
+         "malformed JSON for --h"),
+        (["table", "ht-weights", "--n", "3", "--eps", "+", "--lam", _NESTED],
+         "malformed JSON for --lam"),
     ],
     ids=["zero-denominator", "non-string-coeff", "unwritable-out",
          "n-cap-verify-range", "n-cap-verify", "n-cap-weights", "n-cap-center", "n-cap-roots",
          "n-cap-ht-weights", "n-cap-h1", "n-cap-spin-matrix", "n-cap-spin-matrix-odd",
          "n-cap-conj", "bool-n", "float-index", "weights-n-2", "weights-n-negative",
-         "exponent-element", "exponent-g", "exponent-h"],
+         "exponent-element", "exponent-g", "exponent-h",
+         "nested-element", "nested-g", "nested-h", "nested-lam"],
 )
 def test_bad_input_exits_2_without_traceback(argv, error, tmp_path):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

@@ -24,7 +24,6 @@ from gspin.rootdata import (
     simple_coroots,
     simple_roots,
     spin_weights,
-    theta_on_center,
     theta_on_coords,
     theta_on_weights,
     torus_clifford_element,
@@ -304,9 +303,12 @@ def test_theta_on_weights_involution():
             assert theta_on_weights(theta_on_weights(v)) == v
 
 
-def test_theta_on_center_pair():
-    assert theta_on_center(GaussRat(5), GaussRat(-1)) == (GaussRat(-5), GaussRat(-1))
-    assert theta_on_center(2, 1) == (GaussRat(2), ONE)
+def test_theta_on_coords_center_pair():
+    # On a central point (s_0, s_1, ..., s_1) with s_1 = +-1, theta sends s_0 to s_0 s_1.
+    minus = TorusCoordinates((GaussRat(5),) + (GaussRat(-1),) * 3)
+    assert theta_on_coords(minus) == TorusCoordinates((GaussRat(-5),) + (GaussRat(-1),) * 3)
+    plus = TorusCoordinates((2, 1, 1, 1))
+    assert theta_on_coords(plus) == TorusCoordinates((GaussRat(2), ONE, ONE, ONE))
 
 
 def test_theta_swaps_mu():

@@ -23,15 +23,13 @@ from gspin.clifford import (
 )
 from gspin.exact import SQRT_M1, GaussRat, Mat, inverse, rank
 from gspin.spinrep import (
-    FockBasis,
     SpinMatrix,
     _action_matrix,
     act,
-    fock_basis,
     half_spin_matrix,
-    odd_module_basis,
     pairing_gram,
     psi_matrix,
+    spin_basis,
     spin_matrix,
     theta_intertwiner,
     vacuum,
@@ -68,47 +66,41 @@ def torus_from_s_coords(space, s0, s):
 # basis bookkeeping
 
 
-def test_fock_basis_n3_order():
-    fb = fock_basis(3)
-    assert fb.even_subsets == [(), (1, 2), (1, 3), (2, 3)]
-    assert fb.odd_subsets == [(3,), (1, 2, 3), (1,), (2,)]
-    assert fb.subsets == fb.even_subsets + fb.odd_subsets
+def _colex_subsets(w):
+    """Every subset of {1..w} from itertools.combinations, ordered by bitmask."""
+    subsets = [u for r in range(w + 1) for u in combinations(range(1, w + 1), r)]
+    return tuple(sorted(subsets, key=lambda u: sum(1 << (j - 1) for j in u)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_fock_basis_block_sizes(n):
-    fb = fock_basis(n)
-    assert len(fb.even_subsets) == 2 ** (n - 1)
-    assert len(fb.odd_subsets) == 2 ** (n - 1)
-    assert len(fb) == 2**n
-    assert all(len(u) % 2 == 0 for u in fb.even_subsets)
-    assert all(len(u) % 2 == 1 for u in fb.odd_subsets)
+# Frozen examples, written out by hand.
+_FROZEN_BASES = {
+    ("even", 2, "full"): ((), (1, 2), (2,), (1,)),
+    ("even", 3, "+"): ((), (1, 2), (1, 3), (2, 3)),
+    ("even", 3, "-"): ((3,), (1, 2, 3), (1,), (2,)),
+    ("odd", 3, "full"): ((), (1,), (2,), (1, 2)),
+}
 
 
-def test_fock_basis_sign_bookkeeping():
-    assert FockBasis.sign(()) == ONE
-    assert FockBasis.sign((1,)) == GaussRat(-1)
-    assert FockBasis.sign((1, 2)) == ONE
-    assert FockBasis.sign((1, 2, 3)) == GaussRat(-1)
-
-
-def test_fock_basis_index_and_blocks():
-    fb = fock_basis(3)
-    assert fb.index(()) == 0
-    assert fb.index((3,)) == 4
-    assert fb.index((2,)) == 7
-    # the even subsets fill the "+" block, the odd ones the "-" block
-    assert fb.subsets[:4] == fb.even_subsets
-    assert fb.subsets[4:] == fb.odd_subsets
-
-
-def test_fock_basis_manifest():
-    assert fock_basis(2).subsets == [(), (1, 2), (2,), (1,)]
-
-
-def test_odd_module_basis():
-    assert odd_module_basis(3) == ((), (1,), (2,), (1, 2))
-    assert len(odd_module_basis(5)) == 16
+@pytest.mark.parametrize("space", [even_space(n) for n in range(1, 7)]
+                         + [odd_space(n) for n in range(2, 7)],
+                         ids=lambda sp: f"{sp.kind}-{sp.n}")
+def test_spin_basis_matches_enumeration(space):
+    n = space.n
+    if space.kind == "odd":
+        expected = {label: _colex_subsets(n - 1) for label in ("full", "+", "-")}
+    else:
+        plus = tuple(u for u in _colex_subsets(n) if len(u) % 2 == 0)
+        minus = tuple(tuple(sorted(set(u) ^ {n})) for u in plus)
+        expected = {"full": plus + minus, "+": plus, "-": minus}
+        assert len(plus) == len(minus) == 2 ** (n - 1)
+        assert all(len(u) % 2 == 1 for u in minus)
+        assert len(set(plus + minus)) == 2**n
+        assert spin_basis(space, "full") == spin_basis(space, "+") + spin_basis(space, "-")
+    for label, subsets in expected.items():
+        assert spin_basis(space, label) == subsets
+    for (kind, m, label), subsets in _FROZEN_BASES.items():
+        if (kind, m) == (space.kind, n):
+            assert spin_basis(space, label) == subsets
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +211,7 @@ def test_act_agrees_with_clifford_product_even():
     for _ in range(25):
         g = random_gpin(sp, rng)
         v = {}
-        for u in rng.sample(fock_basis(3).subsets, 3):
+        for u in rng.sample(spin_basis(sp, "full"), 3):
             v[u] = GaussRat(rng.randint(-4, 4), rng.randint(-2, 2))
         v = {u: c for u, c in v.items() if c}
         expected = _project(g.elt * _embed(sp, v), 3)
@@ -234,7 +226,7 @@ def test_act_agrees_with_clifford_product_odd_subalgebra():
     for _ in range(25):
         mono = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 3))))
         c = CliffordElement.monomial(sp, mono) * GaussRat(rng.randint(1, 5))
-        v = {u: GaussRat(rng.randint(-3, 3)) for u in odd_module_basis(3)}
+        v = {u: GaussRat(rng.randint(-3, 3)) for u in spin_basis(sp, "full")}
         v = {u: x for u, x in v.items() if x}
         assert act(c, v) == _project(c * _embed(sp, v), 2)
 
@@ -256,7 +248,7 @@ def test_act_of_monomial_is_generators_right_to_left(space):
     # the single-generator actions from the right must give the same
     # vector, for every basis monomial of C(V) (on the odd space this
     # mixes f_{2n-1} with wedges and contractions) and every basis subset.
-    basis = fock_basis(space.n).subsets if space.kind == "even" else odd_module_basis(space.n)
+    basis = spin_basis(space, "full")
     for r in range(space.dim + 1):
         for mono in combinations(range(1, space.dim + 1), r):
             c = CliffordElement.monomial(space, mono, GaussRat(2, -1))
@@ -296,7 +288,7 @@ def _module_generators(sp):
     that Fock module through their vector images.
     """
     n = sp.n
-    basis = fock_basis(n).subsets
+    basis = spin_basis(even_space(n), "full")
     if sp.kind == "even":
         images = [gen(sp, j) for j in range(1, sp.dim + 1)]
     else:
@@ -383,9 +375,9 @@ def test_line_space_product_and_beta(q):
 
 
 def test_action_matrix_rejects_images_outside_target():
-    fb = fock_basis(3)
+    plus = spin_basis(even_space(3), "+")
     with pytest.raises(ValueError):
-        _action_matrix(gen(even_space(3), 1), fb.even_subsets, fb.even_subsets)
+        _action_matrix(gen(even_space(3), 1), plus, plus)
 
 
 # ---------------------------------------------------------------------------
@@ -477,11 +469,10 @@ def test_half_spin_torus_diagonal():
     t = torus_element(sp, c, a, b)
     s0 = c * b[0] * b[1] * b[2]
     s = [a[i] / b[i] for i in range(n)]
-    fb = fock_basis(n)
-    for eps, block in (("+", fb.even_subsets), ("-", fb.odd_subsets)):
+    for eps in ("+", "-"):
         m = half_spin_matrix(t, eps).mat
         expected = []
-        for u in block:
+        for u in spin_basis(sp, eps):
             val = s0
             for i in u:
                 val = val * s[i - 1]
@@ -500,9 +491,8 @@ def test_half_spin_torus_diagonal_n4():
     s0 = c
     for x in b:
         s0 = s0 * x
-    fb = fock_basis(n)
     m = half_spin_matrix(t, "+").mat
-    for k, u in enumerate(fb.even_subsets):
+    for k, u in enumerate(spin_basis(sp, "+")):
         val = s0
         for i in u:
             val = val * (a[i - 1] / b[i - 1])
@@ -589,12 +579,12 @@ def test_psi_matrix_small_cases():
 def test_psi_matrix_vacuum_and_f1():
     n = 4
     psi = psi_matrix(n)
-    fb = fock_basis(n)
-    src = odd_module_basis(n)
+    plus = spin_basis(even_space(n), "+")
+    src = spin_basis(odd_space(n), "full")
     # vacuum to vacuum
-    assert psi[fb.even_subsets.index(()), src.index(())] == ONE
+    assert psi[plus.index(()), src.index(())] == ONE
     # f_1 to e_1 ^ e_n
-    assert psi[fb.even_subsets.index((1, n)), src.index((1,))] == ONE
+    assert psi[plus.index((1, n)), src.index((1,))] == ONE
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -639,13 +629,13 @@ def _pairing_oracle(n):
     """Complement-pairing formula: only U against its complement survives,
     with the reversal sign on U (valid because the e_i are orthogonal)
     times the shuffle sign of (U, complement)."""
-    fb = fock_basis(n)
+    basis = spin_basis(even_space(n), "full")
     size = 2**n
     rows = [[GaussRat(0)] * size for _ in range(size)]
     full = set(range(1, n + 1))
-    for i, u in enumerate(fb.subsets):
+    for i, u in enumerate(basis):
         comp = tuple(sorted(full - set(u)))
-        j = fb.index(comp)
+        j = basis.index(comp)
         r = len(u)
         rev = -1 if (r * (r - 1) // 2) % 2 else 1
         inversions = sum(1 for a in u for b in comp if a > b)
@@ -661,9 +651,9 @@ def test_pairing_gram_matches_oracle(n):
 
 def test_pairing_normalization():
     for n in (3, 4):
-        fb = fock_basis(n)
+        basis = spin_basis(even_space(n), "full")
         j = pairing_gram(n)
-        assert j[fb.index(()), fb.index(tuple(range(1, n + 1)))] == ONE
+        assert j[basis.index(()), basis.index(tuple(range(1, n + 1)))] == ONE
 
 
 @pytest.mark.parametrize("n,kind", [(3, "alternating"), (4, "symmetric"), (5, "symmetric"), (6, "alternating")])
@@ -704,20 +694,20 @@ def test_pairing_adjunction():
     n = 3
     sp = even_space(n)
     j = pairing_gram(n)
-    fb = fock_basis(n)
+    basis = spin_basis(sp, "full")
 
     def pair(v, w):
         total = GaussRat(0)
         for u, cu in v.items():
             for t, ct in w.items():
-                total = total + cu * j[fb.index(u), fb.index(t)] * ct
+                total = total + cu * j[basis.index(u), basis.index(t)] * ct
         return total
 
     for _ in range(20):
         mono = tuple(sorted(rng.sample(range(1, 2 * n + 1), rng.randint(0, 3))))
         c = CliffordElement.monomial(sp, mono) * GaussRat(rng.randint(1, 4), 1)
-        v = {u: GaussRat(rng.randint(-3, 3)) for u in rng.sample(fb.subsets, 3)}
-        w = {u: GaussRat(rng.randint(-3, 3)) for u in rng.sample(fb.subsets, 3)}
+        v = {u: GaussRat(rng.randint(-3, 3)) for u in rng.sample(basis, 3)}
+        w = {u: GaussRat(rng.randint(-3, 3)) for u in rng.sample(basis, 3)}
         v = {u: x for u, x in v.items() if x}
         w = {u: x for u, x in w.items() if x}
         assert pair(act(c, v), w) == pair(v, act(beta(c), w))
