@@ -72,15 +72,6 @@ def _colex_subsets(w):
     return tuple(sorted(subsets, key=lambda u: sum(1 << (j - 1) for j in u)))
 
 
-# Frozen examples, written out by hand.
-_FROZEN_BASES = {
-    ("even", 2, "full"): ((), (1, 2), (2,), (1,)),
-    ("even", 3, "+"): ((), (1, 2), (1, 3), (2, 3)),
-    ("even", 3, "-"): ((3,), (1, 2, 3), (1,), (2,)),
-    ("odd", 3, "full"): ((), (1,), (2,), (1, 2)),
-}
-
-
 @pytest.mark.parametrize("space", [even_space(n) for n in range(1, 7)]
                          + [odd_space(n) for n in range(2, 7)],
                          ids=lambda sp: f"{sp.kind}-{sp.n}")
@@ -98,9 +89,47 @@ def test_spin_basis_matches_enumeration(space):
         assert spin_basis(space, "full") == spin_basis(space, "+") + spin_basis(space, "-")
     for label, subsets in expected.items():
         assert spin_basis(space, label) == subsets
-    for (kind, m, label), subsets in _FROZEN_BASES.items():
-        if (kind, m) == (space.kind, n):
-            assert spin_basis(space, label) == subsets
+
+
+# Frozen examples of the Fock basis of the even-space module, written out by hand.
+
+
+def test_fock_basis_n3_order():
+    sp = even_space(3)
+    assert spin_basis(sp, "+") == ((), (1, 2), (1, 3), (2, 3))
+    assert spin_basis(sp, "-") == ((3,), (1, 2, 3), (1,), (2,))
+    assert spin_basis(sp, "full") == spin_basis(sp, "+") + spin_basis(sp, "-")
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_fock_basis_block_sizes(n):
+    sp = even_space(n)
+    plus, minus = spin_basis(sp, "+"), spin_basis(sp, "-")
+    assert len(plus) == 2 ** (n - 1)
+    assert len(minus) == 2 ** (n - 1)
+    assert len(spin_basis(sp, "full")) == 2**n
+    assert all(len(u) % 2 == 0 for u in plus)
+    assert all(len(u) % 2 == 1 for u in minus)
+
+
+def test_fock_basis_index_and_blocks():
+    sp = even_space(3)
+    full = spin_basis(sp, "full")
+    assert full.index(()) == 0
+    assert full.index((3,)) == 4
+    assert full.index((2,)) == 7
+    # the even subsets fill the "+" block, the odd ones the "-" block
+    assert full[:4] == spin_basis(sp, "+")
+    assert full[4:] == spin_basis(sp, "-")
+
+
+def test_fock_basis_manifest():
+    assert spin_basis(even_space(2), "full") == ((), (1, 2), (2,), (1,))
+
+
+def test_odd_module_basis():
+    assert spin_basis(odd_space(3), "full") == ((), (1,), (2,), (1, 2))
+    assert len(spin_basis(odd_space(5), "full")) == 16
 
 
 # ---------------------------------------------------------------------------
