@@ -28,7 +28,7 @@ for tag in ("so", "spin", "gso", "gspin"):
     print(f"{tag:5s} |Z^1|={len(res.z1):2d} |B^1|={len(res.b1)} H^1 = {res.h1_structure:4s} norm image size {len(image)}")
 
 res = z1_b1_h1(involution_module("gspin", n))
-print("\nH^1(gspin) representatives:", [str(c.value_at_c) for c in res.h1_reps])
+print("\nH^1(gspin) representatives:", [str(z) for z in res.h1_reps])
 
 # the torsor: a representation of the fixed subgroup, a consistent candidate
 rng = random.Random(3)
@@ -43,4 +43,4 @@ classes = extension_classes(table, g0)
 print("number of extension classes:", len(classes))
 print("each class passes the check:", all(check_extension_criterion(table, c) for c in classes))
 ratio = classes[1] * classes[0].inverse()
-print("the two classes differ by the central cocycle:", ratio == torus_point(res.h1_reps[1].value_at_c))
+print("the two classes differ by the central cocycle:", ratio == torus_point(res.h1_reps[1]))

@@ -26,7 +26,6 @@ from .clifford import (
     theta_element,
 )
 from .cocycle import (
-    Cocycle,
     H1Result,
     InvolutionModule,
     check_extension_criterion,
@@ -126,7 +125,7 @@ __all__ = [
     "Fingerprint", "fingerprint", "is_conjugate_gspin", "is_conjugate_gpin",
     "is_outer_conjugate", "principal_nilpotent", "is_regular_unipotent_so",
     "spin7_orbit_discriminator", "spin_minus_irreducibility_weight_check",
-    "InvolutionModule", "Cocycle", "H1Result", "involution_module",
+    "InvolutionModule", "H1Result", "involution_module",
     "z1_b1_h1", "norm_map_image", "check_extension_criterion",
     "extension_classes",
     "HighestWeight", "HTMultiset", "b_shift", "ht_multiset",

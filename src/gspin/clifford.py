@@ -419,9 +419,9 @@ class GPinElement:
     conjugation must send every basis vector back into V.  An element holds
     what that check verified: `elt`, `space`, `parity`, `_norm` (the spinor
     norm, read by `spinor_norm()`) and `_pr_circ` (the matrix of
-    v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the
-    spin and half-spin matrices (keyed "full", "+", "-") that spinrep
-    computes for this element, so they live as long as it does.
+    v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the full spin
+    matrix once spinrep has computed it (None before), so it lives as long
+    as the element does; the half-spin matrices are its diagonal blocks.
 
     The group is closed under products, inverses, powers and theta, so
     those operations derive the data of their result from verified
@@ -457,14 +457,14 @@ class GPinElement:
                 raise ValueError("conjugation does not stabilize V: element is not in GPin")
             cols.append(coords)
         self._pr_circ = Mat.from_cols(cols)
-        self._spin = {}
+        self._spin = None
 
     @classmethod
     def _composed(cls, elt, parity, norm, pr_circ):
         """An element whose data follow from verified operands; nothing is checked."""
         self = object.__new__(cls)
         self.elt, self.space, self.parity, self._norm = elt, elt.space, parity, norm
-        self._pr_circ, self._spin = pr_circ, {}
+        self._pr_circ, self._spin = pr_circ, None
         return self
 
     def pr_circ(self):

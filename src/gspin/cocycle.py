@@ -27,9 +27,9 @@ def _gso_theta(t):
 class InvolutionModule(_Value):
     """Rational center torsion together with an involutive group action."""
 
-    __slots__ = ("elements", "action", "has_gm", "tag", "identity")
+    __slots__ = ("elements", "action", "tag", "identity")
 
-    def __init__(self, elements, action, has_gm=False, tag="custom"):
+    def __init__(self, elements, action, tag="custom"):
         elements = tuple(elements)
         if not elements:
             raise ValueError("the module needs at least the identity element")
@@ -52,7 +52,6 @@ class InvolutionModule(_Value):
                     raise ValueError("the action does not respect the group law")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "action", action)
-        object.__setattr__(self, "has_gm", bool(has_gm))
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "identity", ident)
 
@@ -71,35 +70,18 @@ def involution_module(tag, n):
     "trivial" gives the one-element module.
     """
     if tag == "trivial":
-        return InvolutionModule(
-            (TorusCoordinates.identity(n),), _identity, has_gm=False, tag="trivial"
-        )
+        return InvolutionModule((TorusCoordinates.identity(n),), _identity, tag="trivial")
     desc = center(tag, n)
     action = theta_on_coords if tag in ("gspin", "spin") else _gso_theta
-    return InvolutionModule(desc.torsion(), action, has_gm=desc.has_gm, tag=tag)
-
-
-class Cocycle(_Value):
-    """A center element z with z * theta(z) = 1, the value of a cocycle at c."""
-
-    __slots__ = ("value_at_c",)
-
-    def __init__(self, value_at_c, action=None):
-        if action is not None:
-            ident = TorusCoordinates.identity(value_at_c.n)
-            if value_at_c * action(value_at_c) != ident:
-                raise ValueError("z * theta(z) != 1: not a cocycle")
-        object.__setattr__(self, "value_at_c", value_at_c)
-
-    def __repr__(self):
-        return f"Cocycle({self.value_at_c!r})"
-
-    def to_json(self):
-        return self.value_at_c.to_json()
+    return InvolutionModule(desc.torsion(), action, tag=tag)
 
 
 class H1Result(_Value):
-    """Z^1, B^1, and the quotient H^1 with canonical representatives."""
+    """Z^1, B^1, and the quotient H^1 with canonical representatives.
+
+    A cocycle is determined by its value z at c, so z1, b1 and h1_reps
+    hold those values as TorusCoordinates.
+    """
 
     __slots__ = ("z1", "b1", "h1_structure", "h1_reps")
 
@@ -117,11 +99,11 @@ class H1Result(_Value):
 
     def to_json(self):
         return {
-            "z1": [c.to_json() for c in self.z1],
-            "b1": [c.to_json() for c in self.b1],
+            "z1": [z.to_json() for z in self.z1],
+            "b1": [z.to_json() for z in self.b1],
             "h1": {
                 "structure": self.h1_structure,
-                "representatives": [c.to_json() for c in self.h1_reps],
+                "representatives": [z.to_json() for z in self.h1_reps],
             },
         }
 
@@ -176,12 +158,7 @@ def z1_b1_h1(mod):
             structure = "Z/2 x Z/2"
         else:
             structure = f"abelian of order {q}"
-    return H1Result(
-        z1=[Cocycle(v, act) for v in z1_vals],
-        b1=[Cocycle(v, act) for v in b1_vals],
-        h1_structure=structure,
-        h1_reps=[Cocycle(v, act) for v in reps],
-    )
+    return H1Result(z1=z1_vals, b1=b1_vals, h1_structure=structure, h1_reps=reps)
 
 
 def norm_map_image(mod):
@@ -268,8 +245,8 @@ def extension_classes(rho_gens, g0, module=None):
             module = involution_module("so", g0.nrows // 2)
     result = z1_b1_h1(module)
     out = []
-    for rep in result.h1_reps:
-        candidate = _central_element_like(g0, rep.value_at_c) * g0
+    for z in result.h1_reps:
+        candidate = _central_element_like(g0, z) * g0
         if not check_extension_criterion(rho_gens, candidate):
             raise AssertionError("a cocycle twist of a passing candidate must pass")
         out.append(candidate)

@@ -24,7 +24,6 @@ empty monomial for s_0).
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 
 from .clifford import CliffordElement, GPinElement, even_space
 from .exact import SQRT_M1, GaussRat, _as_gauss, _Value
@@ -402,7 +401,6 @@ def mu_eps(n, eps):
     return WeightVector((1,) * n + (last,), dual=True)
 
 
-@lru_cache(maxsize=None)
 def parity_subsets(n, eps):
     """Subsets U of {1..n} with (-1)^{#U} = eps, in colex order."""
     eps = _eps_value(eps)

@@ -29,6 +29,8 @@ from .clifford import CliffordElement, GPinElement, beta, even_space, odd_space,
 from .exact import GaussRat, Mat, _Value
 from .rootdata import _eps_value, parity_subsets
 
+_NO_MODULE = "the exterior module is defined for the even and odd spaces"
+
 
 def vacuum():
     """The vacuum vector of either module."""
@@ -71,7 +73,7 @@ def act(c, vec):
         raise TypeError("act expects a CliffordElement")
     space = c.space
     if space.kind not in ("even", "odd"):
-        raise ValueError("the exterior module is defined for the even and odd spaces")
+        raise ValueError(_NO_MODULE)
     w = space.n if space.kind == "even" else space.n - 1
     for u in vec:
         if any(not (1 <= j <= w) for j in u):
@@ -132,7 +134,6 @@ def _eps_label(eps):
     return "+" if _eps_value(eps) == 1 else "-"
 
 
-@lru_cache(maxsize=None)
 def spin_basis(space, label):
     """The module basis subsets indexing the matrices labelled "full", "+" or
     "-" of elements of space.
@@ -140,27 +141,23 @@ def spin_basis(space, label):
     Even space: "+" is the even-degree subsets of {1..n} in colex order,
     "-" their images U xor {n} in the same order, "full" the "+" block
     followed by the "-" block.  Odd space: every subset of {1..n-1} in
-    colex order, whatever the label.
+    colex order, whatever the label.  A line space has no module, and any
+    other label is an error; both raise ValueError.
     """
+    if label not in ("full", "+", "-"):
+        raise ValueError("label must be 'full', '+' or '-'")
     n = space.n
     if space.kind == "odd":
         return tuple(
             tuple(j + 1 for j in range(n - 1) if mask >> j & 1) for mask in range(1 << (n - 1))
         )
+    if space.kind != "even":
+        raise ValueError(_NO_MODULE)
     plus = parity_subsets(n, 1)
     if label == "+":
         return plus
     minus = tuple(u[:-1] if u and u[-1] == n else u + (n,) for u in plus)
-    return {"full": plus + minus, "-": minus}[label]
-
-
-def _cached_matrix(x, label):
-    """x's matrix on spin_basis(x.space, label), kept on the element under label."""
-    mat = x._spin.get(label)
-    if mat is None:
-        basis = spin_basis(x.space, label)
-        mat = x._spin[label] = _action_matrix(x.elt, basis, basis)
-    return mat
+    return plus + minus if label == "full" else minus
 
 
 def spin_matrix(x):
@@ -168,17 +165,24 @@ def spin_matrix(x):
 
     For the even space this is 2^n-square (even-parity elements are block
     diagonal, odd-parity ones block anti-diagonal); for the odd space it is
-    the 2^{n-1}-square matrix on the full module.
+    the 2^{n-1}-square matrix on the full module.  It is computed once and
+    kept on the element.
     """
     if not isinstance(x, GPinElement):
         raise TypeError("spin_matrix expects a GPinElement")
     if x.space.kind not in ("even", "odd"):
         raise ValueError("spin_matrix needs an even- or odd-space element")
-    return SpinMatrix("full", _cached_matrix(x, "full"))
+    if x._spin is None:
+        basis = spin_basis(x.space, "full")
+        x._spin = _action_matrix(x.elt, basis, basis)
+    return SpinMatrix("full", x._spin)
 
 
 def half_spin_matrix(x, eps):
-    """The half-spin matrix of an even GPin element on the epsilon block."""
+    """The half-spin matrix of an even GPin element on the epsilon block.
+
+    It is the "+" (first) or "-" (second) diagonal block of spin_matrix(x).
+    """
     if not isinstance(x, GPinElement):
         raise TypeError("half_spin_matrix expects a GPinElement")
     if x.space.kind != "even":
@@ -186,7 +190,10 @@ def half_spin_matrix(x, eps):
     if x.parity != 0:
         raise ValueError("odd-parity element has no half-spin matrix")
     label = _eps_label(eps)
-    return SpinMatrix(label, _cached_matrix(x, label))
+    rows = spin_matrix(x).mat.rows
+    half = len(rows) // 2
+    block = slice(0, half) if label == "+" else slice(half, None)
+    return SpinMatrix(label, Mat([r[block] for r in rows[block]]))
 
 
 def theta_intertwiner(n):

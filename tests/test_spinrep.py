@@ -21,6 +21,8 @@ from gspin.clifford import (
     theta,
     theta_element,
 )
+from gspin import spinrep
+from gspin.conjugacy import fingerprint
 from gspin.exact import SQRT_M1, GaussRat, Mat, inverse, rank
 from gspin.spinrep import (
     SpinMatrix,
@@ -89,6 +91,9 @@ def test_spin_basis_matches_enumeration(space):
         assert spin_basis(space, "full") == spin_basis(space, "+") + spin_basis(space, "-")
     for label, subsets in expected.items():
         assert spin_basis(space, label) == subsets
+    for label in ("bogus", "", 1, None):
+        with pytest.raises(ValueError, match="label must be"):
+            spin_basis(space, label)
 
 
 # Frozen examples of the Fock basis of the even-space module, written out by hand.
@@ -213,11 +218,15 @@ def test_act_rejects_unsorted_or_repeated_indices():
 
 
 def test_act_rejects_line_space():
-    from gspin.clifford import line_space
-
     sp = line_space(Fraction(-1))
-    with pytest.raises(ValueError):
+    message = "the exterior module is defined for the even and odd spaces"
+    with pytest.raises(ValueError, match=message):
         act(gen(sp, 1), vacuum())
+    # spin_basis has no basis to offer either, whatever the line's Q.
+    for q in (Fraction(-1), 2):
+        for label in ("full", "+", "-"):
+            with pytest.raises(ValueError, match=message):
+                spin_basis(line_space(q), label)
 
 
 def _embed(space, v):
@@ -475,12 +484,16 @@ def test_half_spin_multiplicative():
 
 
 def test_half_spin_block_of_full_spin():
+    # The half-spin matrices are cut out of the full matrix, so the reference
+    # for each block is the action on its own half basis.
     rng = random.Random(23)
     sp = even_space(3)
     x = random_gspin(sp, rng)
     full = spin_matrix(x).mat
-    plus = half_spin_matrix(x, "+").mat
-    minus = half_spin_matrix(x, "-").mat
+    plus = _action_matrix(x.elt, spin_basis(sp, "+"), spin_basis(sp, "+"))
+    minus = _action_matrix(x.elt, spin_basis(sp, "-"), spin_basis(sp, "-"))
+    assert half_spin_matrix(x, "+").mat == plus
+    assert half_spin_matrix(x, "-").mat == minus
     for i in range(4):
         for j in range(4):
             assert full[i, j] == plus[i, j]
@@ -755,16 +768,27 @@ def test_spin_matrix_type_checks():
         SpinMatrix("x", Mat.identity(2))
 
 
-def test_spin_matrices_are_cached_on_the_element():
+def test_spin_matrices_are_cached_on_the_element(monkeypatch):
+    builds = []
+    original = spinrep._action_matrix
+
+    def counting(c, src, dst):
+        builds.append(len(src))
+        return original(c, src, dst)
+
+    monkeypatch.setattr(spinrep, "_action_matrix", counting)
     g = random_gspin(even_space(3), random.Random(5))
     refs = sys.getrefcount(g)
+    fingerprint(g)
     full = spin_matrix(g).mat
     plus = half_spin_matrix(g, 1).mat
     minus = half_spin_matrix(g, -1).mat
     assert sys.getrefcount(g) == refs
+    assert builds == [8]
     assert spin_matrix(g).mat is full
-    assert half_spin_matrix(g, "+").mat is plus
-    assert half_spin_matrix(g, -1).mat is minus
+    assert half_spin_matrix(g, "+").mat == plus
+    assert half_spin_matrix(g, -1).mat == minus
+    assert builds == [8]
 
 
 def test_spin_matrix_eq_and_repr():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from gspin.cocycle import Cocycle, H1Result, InvolutionModule, involution_module, z1_b1_h1
+from gspin.cocycle import H1Result, InvolutionModule, involution_module, z1_b1_h1
 from gspin.conjugacy import Fingerprint, fingerprint
 from gspin.exact import Mat
 from gspin.hodge import HighestWeight, HTMultiset, ht_multiset
@@ -24,7 +24,6 @@ VALUE_TYPES = [
         lambda: InvolutionModule((TorusCoordinates.identity(3),), _identity_action),
         True,
     ),
-    (Cocycle, lambda: Cocycle(TorusCoordinates((-1, 1, 1, 1))), True),
     (H1Result, lambda: z1_b1_h1(involution_module("so", 3)), True),
     (HighestWeight, lambda: HighestWeight((0, 2, 1, 0)), True),
     (HTMultiset, lambda: ht_multiset(3, 1, (0, 2, 1, 0)), False),
