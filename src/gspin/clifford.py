@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, inverse, rank
+from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, inverse, rank
 
 
 class QuadSpace:
@@ -148,9 +148,9 @@ def _push_generator(space, mono, g):
     """Multiply the monomial e_mono by the rescaled generator e_g on the right.
 
     Returns a tuple of (monomial, kr, ki) terms with Gaussian-integer
-    constants kr + ki*i (see `_numerators` for the rescaling).  Folding from
-    the right: e_S e_g with s = max(S): if s < g just append; if s = g
-    contract to Q(g); if s > g use e_s e_g = <e_s,e_g> - e_g e_s.
+    constants kr + ki*i (see `_term_numerators` for the rescaling).
+    Folding from the right: e_S e_g with s = max(S): if s < g just append;
+    if s = g contract to Q(g); if s > g use e_s e_g = <e_s,e_g> - e_g e_s.
     """
     if not mono:
         return (((g,), 1, 0),)
@@ -166,9 +166,9 @@ def _push_generator(space, mono, g):
     return tuple(out)
 
 
-def _numerators(x):
+def _term_numerators(x):
     """(den, [(monomial, re, im), ...]): x's coefficients as Gaussian-integer
-    numerators over their least common denominator.
+    numerators over their least common denominator (`exact._numerators`).
 
     A line space's generator is rescaled to u' = D u with D = ``space.scale``,
     so Q(u') = D^2 Q(u) is a Gaussian integer and the coefficient of a
@@ -176,10 +176,10 @@ def _numerators(x):
     `_from_numerators`).  Even and odd spaces have D = 1.
     """
     scale = x.space.scale
-    terms = [(m, c / scale ** len(m)) for m, c in x.terms.items()] if scale != 1 else x.terms.items()
-    den = lcm(*(d for _, c in terms for d in (c.re.denominator, c.im.denominator)))
-    return den, [(m, c.re.numerator * (den // c.re.denominator),
-                  c.im.numerator * (den // c.im.denominator)) for m, c in terms]
+    coeffs = ([c / scale ** len(m) for m, c in x.terms.items()] if scale != 1
+              else x.terms.values())
+    den, re, im = _numerators(coeffs)
+    return den, list(zip(x.terms, re, im))
 
 
 def _fold(space, frontier, gens):
@@ -336,8 +336,8 @@ class CliffordElement:
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            da, a = _numerators(self)
-            db, b = _numerators(other)
+            da, a = _term_numerators(self)
+            db, b = _term_numerators(other)
             terms = (t for mb, br, bi in b for t in _fold(
                 self.space, [(ma, ar * br - ai * bi, ar * bi + ai * br) for ma, ar, ai in a], mb))
             return _from_numerators(self.space, terms, da * db)
@@ -406,7 +406,7 @@ def beta(x):
     contain hyperbolic partners, so the reversed product is folded out in
     full.)
     """
-    den, terms = _numerators(x)
+    den, terms = _term_numerators(x)
     return _from_numerators(x.space, (t for m, re, im in terms
                                       for t in _fold(x.space, [((), re, im)], reversed(m))), den)
 

@@ -11,15 +11,23 @@ point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
 
 def _as_gauss(x):
     if isinstance(x, GaussRat):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and type(x) is not bool:
         return GaussRat(x)
     return None
+
+
+def _numerators(values):
+    """(den, re, im): a collection of GaussRat values as Gaussian-integer
+    numerators re[k] + im[k]*i over their least common denominator den > 0."""
+    den = lcm(*(d for c in values for d in (c.re.denominator, c.im.denominator)))
+    return (den, [c.re.numerator * (den // c.re.denominator) for c in values],
+            [c.im.numerator * (den // c.im.denominator) for c in values])
 
 
 class _Value:
@@ -50,15 +58,21 @@ class _Value:
 class GaussRat:
     """A Gaussian rational ``re + im*i`` with exact ``Fraction`` parts.
 
-    Mixed arithmetic with ``int`` and ``Fraction`` is supported.  The
-    canonical text form always shows both parts ("3/2-5/4*i", "1+0*i");
-    :meth:`parse` additionally accepts plain rationals ("7", "-2/3") and
-    bare imaginary parts ("i", "-i", "2*i").
+    Both parts must be ``int`` (not ``bool``) or ``Fraction``; anything
+    else, floats and strings included, raises TypeError (text goes through
+    :meth:`parse`).  Mixed arithmetic with ``int`` and ``Fraction`` is
+    supported.  The canonical text form always shows both parts
+    ("3/2-5/4*i", "1+0*i"); :meth:`parse` additionally accepts plain
+    rationals ("7", "-2/3") and bare imaginary parts ("i", "-i", "2*i").
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if (not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction)))
+                or type(re) is bool or type(im) is bool):
+            raise TypeError(f"GaussRat parts must be int or Fraction, not "
+                            f"{type(re).__name__} and {type(im).__name__}")
         self.re = Fraction(re)
         self.im = Fraction(im)
 
@@ -245,14 +259,18 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly(())
-            out = [GaussRat(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for j, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for k, b in enumerate(other.coeffs):
-                    if b:
-                        out[j + k] = out[j + k] + a * b
-            return Poly(out)
+            # convolve the Gaussian-integer numerators over the product of
+            # the two denominators
+            da, ar, ai = _numerators(self.coeffs)
+            db, br, bi = _numerators(other.coeffs)
+            re = [0] * (len(ar) + len(br) - 1)
+            im = list(re)
+            for j, (x, y) in enumerate(zip(ar, ai)):
+                if x or y:
+                    top = j + len(br)
+                    re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
+                    im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
+            return _poly_over(da * db, re, im)
         o = _as_gauss(other)
         if o is None:
             return NotImplemented
@@ -349,6 +367,14 @@ class Mat:
         self.rows = body
         self.nrows = len(body)
         self.ncols = len(body[0])
+
+    @classmethod
+    def _raw(cls, rows):
+        """A matrix from kernel output: a nonempty tuple of equal-length, nonempty
+        tuples of GaussRat entries, taken unchecked."""
+        self = object.__new__(cls)
+        self.rows, self.nrows, self.ncols = rows, len(rows), len(rows[0])
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -473,12 +499,27 @@ class Mat:
         return cls([[GaussRat.parse(s) for s in r] for r in data])
 
 
+def _poly_over(den, re, im):
+    """The polynomial with coefficients (re[k] + im[k]*i) / den."""
+    return Poly([GaussRat._fast(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)])
+
+
 def charpoly(m):
     """Characteristic polynomial det(x*I - m), monic, computed exactly.
 
-    The matrix is first brought to Hessenberg form by an exact similarity
-    (so the result is unchanged), then the polynomial is built by the
-    leading-principal-minor recurrence for Hessenberg matrices.
+    The matrix is first brought to Hessenberg form H by an exact similarity
+    over Q(i) (so the result is unchanged), then the polynomial is built by
+    the leading-principal-minor recurrence for Hessenberg matrices,
+
+        p_k = (x - H[k-1][k-1]) p_{k-1}
+              - sum_j H[j-1][k-1] H[j][j-1] ... H[k-1][k-2] p_{j-1},
+
+    on integers: each p_k is a pair of Gaussian-integer numerator lists
+    (real and imaginary parts) over one positive denominator.  The scalars
+    of step k share their least common denominator e, so p_k is written
+    over e times the lcm of the denominators of the p_j it uses, then
+    divided by the gcd of that denominator and all its numerators.
+    Fractions are built only for the n + 1 output coefficients.
     """
     if not m.is_square:
         raise ValueError("charpoly of a non-square matrix")
@@ -506,20 +547,43 @@ def charpoly(m):
                 hr[j] = hr[j] - f * hk[j]
             for row in H:
                 row[k + 1] = row[k + 1] + f * row[r]
-    one = GaussRat(1)
-    polys = [Poly((one,))]
+    polys = [(1, [1], [0])]  # (den, re, im) of p_0 = 1
     for k in range(1, n + 1):
-        prev = polys[k - 1]
-        pk = prev.shift(1) - H[k - 1][k - 1] * prev
-        run = one
+        # the nonzero scalars of step k and the index j - 1 of the p they multiply
+        scalars, uses = [], []
+        if H[k - 1][k - 1]:
+            scalars.append(H[k - 1][k - 1])
+            uses.append(k - 1)
+        run = None  # H[j][j-1] ... H[k-1][k-2], all nonzero
         for j in range(k - 1, 0, -1):
-            run = run * H[j][j - 1]
-            if not run:
+            h = H[j][j - 1]
+            if not h:
                 break
+            run = h if run is None else run * h
             if H[j - 1][k - 1]:
-                pk = pk - (H[j - 1][k - 1] * run) * polys[j - 1]
-        polys.append(pk)
-    return polys[n]
+                scalars.append(H[j - 1][k - 1] * run)
+                uses.append(j - 1)
+        e, sre, sim = _numerators(scalars)
+        dprev, rprev, iprev = polys[k - 1]
+        big = lcm(dprev, *(polys[i][0] for i in uses))
+        den = e * big
+        f = den // dprev
+        re = [0] + [c * f for c in rprev]
+        im = [0] + [c * f for c in iprev]
+        for a, b, i in zip(sre, sim, uses):
+            di, ri, ii = polys[i]
+            f = big // di
+            a, b = a * f, b * f
+            top = len(ri)
+            re[:top] = [r - a * x + b * y for r, x, y in zip(re, ri, ii)]
+            im[:top] = [s - a * y - b * x for s, x, y in zip(im, ri, ii)]
+        g = gcd(den, *re, *im)
+        if g != 1:
+            den = den // g
+            re = [c // g for c in re]
+            im = [c // g for c in im]
+        polys.append((den, re, im))
+    return _poly_over(*polys[n])
 
 
 def _reduce(rows, ncols):

@@ -112,7 +112,7 @@ def _action_matrix(c, src, dst):
                 raise ValueError("the module action leaves the target basis")
             col[k] = x
         cols.append(col)
-    return Mat.from_cols(cols)
+    return Mat._raw(tuple(zip(*cols)))
 
 
 class SpinMatrix(_Value):
@@ -193,7 +193,7 @@ def half_spin_matrix(x, eps):
     rows = spin_matrix(x).mat.rows
     half = len(rows) // 2
     block = slice(0, half) if label == "+" else slice(half, None)
-    return SpinMatrix(label, Mat([r[block] for r in rows[block]]))
+    return SpinMatrix(label, Mat._raw(tuple(r[block] for r in rows[block])))
 
 
 def theta_intertwiner(n):

@@ -1,7 +1,9 @@
 """Tests for the exact linear algebra kernel.
 
 charpoly gets two independent oracles: a Faddeev-LeVerrier implementation
-written from the trace recurrence (below), and sympy.  Expected values in
+written from the trace recurrence (below), and sympy; its integer minor
+recurrence is also checked against the same recurrence on Poly objects.  Poly products are
+checked against a GaussRat double loop written here.  Expected values in
 the frozen examples were computed by hand.
 """
 
@@ -13,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gspin.clifford import CliffordElement, GPinElement, even_space
 from gspin.exact import (
     SQRT_M1,
     GaussRat,
@@ -24,6 +27,8 @@ from gspin.exact import (
     jordan_partition,
     rank,
 )
+from gspin.rootdata import TorusCoordinates, torus_point
+from gspin.spinrep import half_spin_matrix
 
 
 def charpoly_faddeev_leverrier(m):
@@ -38,6 +43,36 @@ def charpoly_faddeev_leverrier(m):
         coeffs[n - k] = ck
         mk = mk + Mat.identity(n) * ck
     return Poly(coeffs)
+
+
+def charpoly_minor_recurrence(m):
+    # oracle: the same Hessenberg reduction, then the minor recurrence on
+    # Poly objects with GaussRat coefficients
+    n = m.nrows
+    H = [list(row) for row in m.rows]
+    for k in range(n - 2):
+        piv = next((r for r in range(k + 1, n) if H[r][k]), None)
+        if piv is None:
+            continue
+        H[k + 1], H[piv] = H[piv], H[k + 1]
+        for row in H:
+            row[k + 1], row[piv] = row[piv], row[k + 1]
+        for r in range(k + 2, n):
+            f = H[r][k] / H[k + 1][k]
+            H[r] = [a - f * b for a, b in zip(H[r], H[k + 1])]
+            for row in H:
+                row[k + 1] = row[k + 1] + f * row[r]
+    polys = [Poly([1])]
+    for k in range(1, n + 1):
+        pk = polys[k - 1].shift(1) - H[k - 1][k - 1] * polys[k - 1]
+        run = GaussRat(1)
+        for j in range(k - 1, 0, -1):
+            run = run * H[j][j - 1]
+            if not run:
+                break
+            pk = pk - (H[j - 1][k - 1] * run) * polys[j - 1]
+        polys.append(pk)
+    return polys[n]
 
 
 def sympy_matrix(m):
@@ -64,6 +99,54 @@ def rand_gauss(rng, span=4, complex_part=True):
 
 def rand_mat(rng, n, span=4, complex_part=True):
     return Mat([[rand_gauss(rng, span, complex_part) for _ in range(n)] for _ in range(n)])
+
+
+def rand_frac(rng, span=9):
+    """re + im*i with parts p/q, |p| <= span and q up to 9."""
+    return GaussRat(Fraction(rng.randint(-span, span), rng.randint(1, 9)),
+                    Fraction(rng.randint(-span, span), rng.randint(1, 9)))
+
+
+def rand_frac_mat(rng, n):
+    return Mat([[rand_frac(rng) for _ in range(n)] for _ in range(n)])
+
+
+def rand_block_upper(rng, sizes):
+    """Block upper triangular with random fractional blocks of the given sizes.
+
+    Every entry below the diagonal blocks is zero, so the Hessenberg form
+    keeps a zero subdiagonal entry at each block boundary.
+    """
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    return Mat([[rand_frac(rng) if bi <= bj else GaussRat(0) for bj in block] for bi in block])
+
+
+def is_monomial(m):
+    """Exactly one nonzero entry in every row and every column."""
+    return all(sum(1 for c in r if c) == 1 for r in m.rows) and \
+        all(sum(1 for c in r if c) == 1 for r in m.transpose().rows)
+
+
+def half_spin_examples(n, seed):
+    """The two half-spin matrices (2^(n-1) square) of a torus point and of a
+    product of four vectors a e_j + b e_(n+j), with fractional and imaginary
+    parts: diagonal and monomial matrices."""
+    rng = Random(seed)
+    t = torus_point(TorusCoordinates([rand_frac(rng, 4) or GaussRat(1) for _ in range(n + 1)]))
+    space = even_space(n)
+    acc = CliffordElement.one(space)
+    for _ in range(4):
+        j = rng.randint(1, n)
+        coords = [GaussRat(0)] * (2 * n)
+        coords[j - 1] = GaussRat(Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 9)), 1)
+        coords[n + j - 1] = GaussRat(Fraction(rng.choice((-7, 1, 4)), rng.randint(1, 9)))
+        acc = acc * CliffordElement.vector(space, coords)
+    g = GPinElement(acc)
+    diag = [half_spin_matrix(t, eps).mat for eps in (1, -1)]
+    mono = [half_spin_matrix(g, eps).mat for eps in (1, -1)]
+    assert all(m.is_diagonal() for m in diag)
+    assert all(is_monomial(m) and not m.is_diagonal() for m in mono)
+    return diag + mono
 
 
 def rand_invertible(rng, n):
@@ -118,6 +201,28 @@ def test_gaussrat_division_by_zero():
         GaussRat(1) / GaussRat(0)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.5, 1e3, "3/4", "1", True, False, 1j, complex(2, 0)],
+                         ids=repr)
+def test_gaussrat_rejects_inexact_parts(bad):
+    with pytest.raises(TypeError):
+        GaussRat(bad)
+    with pytest.raises(TypeError):
+        GaussRat(1, bad)
+    with pytest.raises(TypeError):
+        Mat([[bad]])
+    with pytest.raises(TypeError):
+        Mat.diag([1, bad])
+    with pytest.raises(TypeError):
+        Poly([bad])
+    with pytest.raises(TypeError):
+        CliffordElement(even_space(3), {(): bad})
+    # mixed arithmetic with a bad operand is refused, not coerced
+    with pytest.raises(TypeError):
+        GaussRat(1) * bad
+    # text still goes through parse, and exact parts are accepted
+    assert GaussRat.parse("3/4") == GaussRat(Fraction(3, 4)) == GaussRat(0, 0) + Fraction(3, 4)
+
+
 # -------------------------------------------------------------------- Poly
 
 def test_poly_normalizes_leading_zeros():
@@ -133,6 +238,32 @@ def test_poly_ring_ops():
     assert p + q == Poly([0, 2])
     assert p.shift(2) == Poly([0, 0, 1, 1])
     assert (p * q)(GaussRat(3)) == GaussRat(8)
+
+
+def poly_product_schoolbook(p, q):
+    # oracle: the GaussRat double loop over all coefficient pairs
+    out = [GaussRat(0)] * max(len(p.coeffs) + len(q.coeffs) - 1, 0)
+    for j, a in enumerate(p.coeffs):
+        for k, b in enumerate(q.coeffs):
+            out[j + k] = out[j + k] + a * b
+    return Poly(out)
+
+
+def rand_poly(rng, degree, max_den):
+    def part():
+        return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, max_den))
+    return Poly([GaussRat(part(), part() if rng.random() < 0.7 else 0) for _ in range(degree + 1)])
+
+
+def test_poly_product_against_schoolbook():
+    rng = Random(53)
+    polys = [Poly([]), Poly([5]), Poly([GaussRat(Fraction(-3, 7), 2)]), Poly([0, 0, 0, SQRT_M1]),
+             Poly([1, 0, 0, Fraction(1, 999983)])]
+    polys += [rand_poly(rng, degree, max_den) for degree in (0, 1, 4, 9, 16)
+              for max_den in (1, 9, 10**6)]
+    for p in polys:
+        for q in polys:
+            assert p * q == poly_product_schoolbook(p, q)
 
 
 def test_poly_pretty():
@@ -194,7 +325,7 @@ def test_charpoly_against_faddeev_leverrier():
     for n in (1, 2, 3, 4, 5, 6):
         for _ in range(6):
             m = rand_mat(rng, n)
-            assert charpoly(m) == charpoly_faddeev_leverrier(m)
+            assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
 
 
 def test_charpoly_against_sympy():
@@ -203,6 +334,61 @@ def test_charpoly_against_sympy():
         for _ in range(3):
             m = rand_mat(rng, n, span=3)
             assert charpoly(m) == charpoly_sympy(m)
+
+
+def test_charpoly_fractional_entries_against_faddeev_leverrier():
+    # distinct denominators up to 9 on both parts: the recurrence's
+    # per-polynomial denominators and gcd reduction
+    rng = Random(31)
+    for n in (1, 2, 3, 4, 5, 6, 8):
+        for _ in range(3):
+            m = rand_frac_mat(rng, n)
+            assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+
+
+def test_charpoly_fractional_entries_against_sympy():
+    rng = Random(37)
+    for n in (1, 2, 3, 4):
+        for _ in range(2):
+            m = rand_frac_mat(rng, n)
+            assert charpoly(m) == charpoly_sympy(m)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 3), (3, 1, 2), (1, 4, 1), (2, 2, 2, 2)])
+def test_charpoly_block_upper_triangular(sizes):
+    # a zero subdiagonal entry ends the recurrence's inner sum early
+    rng = Random(sum(sizes) * 41 + len(sizes))
+    m = rand_block_upper(rng, sizes)
+    p = charpoly(m)
+    assert p == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+    if m.nrows <= 4:
+        assert p == charpoly_sympy(m)
+    # the characteristic polynomial is the product over the diagonal blocks
+    start, expected = 0, Poly([1])
+    for size in sizes:
+        block = Mat([r[start:start + size] for r in m.rows[start:start + size]])
+        expected = expected * charpoly(block)
+        start += size
+    assert p == expected
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_charpoly_half_spin_diagonal_and_monomial(n):
+    for m in half_spin_examples(n, 43 + n):
+        assert m.nrows == 1 << (n - 1)
+        assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+
+
+def test_charpoly_one_by_one_and_zero():
+    rng = Random(47)
+    for _ in range(5):
+        c = rand_frac(rng)
+        m = Mat([[c]])
+        assert charpoly(m) == Poly([-c, 1]) == charpoly_faddeev_leverrier(m) == charpoly_sympy(m)
+    for n in (1, 2, 3, 7):
+        z = Mat.zeros(n)
+        assert charpoly(z) == Poly([0] * n + [1]) == charpoly_faddeev_leverrier(z)
+    assert charpoly(Mat.zeros(3)) == charpoly_sympy(Mat.zeros(3))
 
 
 def test_charpoly_cayley_hamilton():

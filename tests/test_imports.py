@@ -1,5 +1,6 @@
-"""Every import of a gspin module is at top level and used by that module, and
-the package exports exactly the names it imports."""
+"""Every import of a gspin module is at top level and used by that module, the
+package exports exactly the names it imports, and no gspin module uses
+floating point."""
 
 import ast
 import importlib
@@ -9,10 +10,8 @@ import pytest
 
 import gspin
 
-MODULES = sorted(
-    p for p in (Path(__file__).resolve().parent.parent / "src" / "gspin").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "gspin").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_imports(source):
@@ -36,6 +35,30 @@ def test_no_unused_top_level_imports(path):
 def test_unused_import_is_reported():
     source = "import json\nimport os.path\nfrom x import a as b, c\nprint(os.sep, c)\n"
     assert _unused_imports(source) == [(1, "json"), (3, "b")]
+
+
+def _floating_point(source):
+    """(line, text) for each float or complex constant and each use of the
+    names `float` and `complex`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, ast.Name) and node.id in ("float", "complex"):
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_no_floating_point(path):
+    assert _floating_point(path.read_text(encoding="utf-8")) == []
+
+
+def test_floating_point_is_reported():
+    source = ("x = 1.5\ny = 2j + 3\nz = float(x) + complex(1)\nw = 1e3 if x else -0.0\n"
+              "def f(a: float) -> int:\n    return int(a)\n")
+    assert _floating_point(source) == [(1, "1.5"), (2, "2j"), (3, "complex"), (3, "float"),
+                                       (4, "0.0"), (4, "1000.0"), (5, "float")]
 
 
 def _function_level_imports(source):
