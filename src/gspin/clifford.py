@@ -167,8 +167,9 @@ def _push_generator(space, mono, g):
 
 
 def _term_numerators(x):
-    """(den, [(monomial, re, im), ...]): x's coefficients as Gaussian-integer
-    numerators over their least common denominator (`exact._numerators`).
+    """(den, re, im): x's coefficients, in the order of ``x.terms``, as
+    Gaussian-integer numerators over their least common denominator
+    (`exact._numerators`).
 
     A line space's generator is rescaled to u' = D u with D = ``space.scale``,
     so Q(u') = D^2 Q(u) is a Gaussian integer and the coefficient of a
@@ -176,10 +177,8 @@ def _term_numerators(x):
     `_from_numerators`).  Even and odd spaces have D = 1.
     """
     scale = x.space.scale
-    coeffs = ([c / scale ** len(m) for m, c in x.terms.items()] if scale != 1
-              else x.terms.values())
-    den, re, im = _numerators(coeffs)
-    return den, list(zip(x.terms, re, im))
+    return _numerators(x.terms.values() if scale == 1
+                       else [c / scale ** len(m) for m, c in x.terms.items()])
 
 
 def _fold(space, frontier, gens):
@@ -336,10 +335,11 @@ class CliffordElement:
     def __mul__(self, other):
         if isinstance(other, CliffordElement):
             self._require_same_space(other)
-            da, a = _term_numerators(self)
-            db, b = _term_numerators(other)
-            terms = (t for mb, br, bi in b for t in _fold(
-                self.space, [(ma, ar * br - ai * bi, ar * bi + ai * br) for ma, ar, ai in a], mb))
+            da, ar, ai = _term_numerators(self)
+            db, br, bi = _term_numerators(other)
+            terms = (t for mb, r2, i2 in zip(other.terms, br, bi) for t in _fold(
+                self.space, [(ma, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
+                             for ma, r1, i1 in zip(self.terms, ar, ai)], mb))
             return _from_numerators(self.space, terms, da * db)
         o = _as_gauss(other)
         if o is None:
@@ -406,9 +406,9 @@ def beta(x):
     contain hyperbolic partners, so the reversed product is folded out in
     full.)
     """
-    den, terms = _term_numerators(x)
-    return _from_numerators(x.space, (t for m, re, im in terms
-                                      for t in _fold(x.space, [((), re, im)], reversed(m))), den)
+    den, re, im = _term_numerators(x)
+    return _from_numerators(x.space, (t for m, r, i in zip(x.terms, re, im)
+                                      for t in _fold(x.space, [((), r, i)], reversed(m))), den)
 
 
 class GPinElement:

@@ -17,7 +17,7 @@ from math import factorial, gcd, lcm
 def _as_gauss(x):
     if isinstance(x, GaussRat):
         return x
-    if isinstance(x, (int, Fraction)) and type(x) is not bool:
+    if type(x) in (int, Fraction):
         return GaussRat(x)
     return None
 
@@ -25,7 +25,9 @@ def _as_gauss(x):
 def _numerators(values):
     """(den, re, im): a collection of GaussRat values as Gaussian-integer
     numerators re[k] + im[k]*i over their least common denominator den > 0."""
-    den = lcm(*(d for c in values for d in (c.re.denominator, c.im.denominator)))
+    den = lcm(*[d for c in values for d in (c.re.denominator, c.im.denominator)])
+    if den == 1:
+        return 1, [c.re.numerator for c in values], [c.im.numerator for c in values]
     return (den, [c.re.numerator * (den // c.re.denominator) for c in values],
             [c.im.numerator * (den // c.im.denominator) for c in values])
 
@@ -58,9 +60,9 @@ class _Value:
 class GaussRat:
     """A Gaussian rational ``re + im*i`` with exact ``Fraction`` parts.
 
-    Both parts must be ``int`` (not ``bool``) or ``Fraction``; anything
-    else, floats and strings included, raises TypeError (text goes through
-    :meth:`parse`).  Mixed arithmetic with ``int`` and ``Fraction`` is
+    Each part must be of type ``int`` or ``Fraction`` (so not ``bool``);
+    anything else, floats and strings included, raises TypeError (text
+    goes through :meth:`parse`).  Mixed arithmetic with ``int`` and ``Fraction`` is
     supported.  The canonical text form always shows both parts
     ("3/2-5/4*i", "1+0*i"); :meth:`parse` additionally accepts plain
     rationals ("7", "-2/3") and bare imaginary parts ("i", "-i", "2*i").
@@ -69,8 +71,7 @@ class GaussRat:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if (not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction)))
-                or type(re) is bool or type(im) is bool):
+        if type(re) not in (int, Fraction) or type(im) not in (int, Fraction):
             raise TypeError(f"GaussRat parts must be int or Fraction, not "
                             f"{type(re).__name__} and {type(im).__name__}")
         self.re = Fraction(re)
