@@ -62,9 +62,9 @@ class GaussRat:
 
     Each part must be of type ``int`` or ``Fraction`` (so not ``bool``);
     anything else, floats and strings included, raises TypeError (text
-    goes through :meth:`parse`).  Mixed arithmetic with ``int`` and ``Fraction`` is
-    supported.  The canonical text form always shows both parts
-    ("3/2-5/4*i", "1+0*i"); :meth:`parse` additionally accepts plain
+    goes through :meth:`parse`).  Mixed arithmetic with ``int`` and
+    ``Fraction`` is supported.  The canonical text form always shows both
+    parts ("3/2-5/4*i", "1+0*i"); :meth:`parse` additionally accepts plain
     rationals ("7", "-2/3") and bare imaginary parts ("i", "-i", "2*i").
     """
 
