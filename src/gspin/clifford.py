@@ -8,11 +8,14 @@ f_{2n-1} with Q = 1), and one-dimensional lines with a chosen Q-value.
 Clifford elements are finite sums of monomials e_{s_1}...e_{s_r} with
 strictly increasing indices; multiplication folds generators into a
 monomial one at a time using e_j e_k = <e_j,e_k> - e_k e_j for j > k and
-e_j^2 = Q(e_j).  On top of the algebra sit the group elements
-(``GPinElement``: homogeneous, invertible, stabilizing V under
-conjugation), the spinor norm, the vector representation pr_circ (twisted
-conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the graded
-embedding ``c_phi`` of an orthogonal decomposition, the standard
+e_j^2 = Q(e_j).  Each basis vector pairs with at most one other, so
+e_S e_g has a closed form with at most two terms (`_fold`), computed on
+`int` bitmasks that never leave the product kernel; ``terms`` keys stay
+sorted tuples, and nothing is memoized.  On top of the algebra sit the
+group elements (``GPinElement``: homogeneous, invertible, stabilizing V
+under conjugation), the spinor norm, the vector representation pr_circ
+(twisted conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the
+graded embedding ``c_phi`` of an orthogonal decomposition, the standard
 embedding ``i_std`` of the odd group into the even one, and the outer
 automorphism ``theta`` given by conjugation with
 theta_elt = sqrt(-1)*(e_n - e_{2n}).
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import lcm
 
 from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, inverse, rank
@@ -37,12 +41,16 @@ class QuadSpace:
 
     ``scale`` is the least positive integer D with D*Q in Z[i] on a line,
     and 1 otherwise; the product kernel rescales generators by it.
+    ``_gens`` holds the kernel's constants of generator g at g - 1: its
+    bit 1 << (g - 1), its partner p > g (0 if none), p's bit, and the
+    Gaussian-integer numerators of Q(g) * D^2 (None when Q(g) = 0).  With
+    h = dim // 2 the partner of g <= h is g + h on even and odd spaces.
 
     There is one object per space: every construction returns the
     instance for its (kind, n, Q), so spaces compare by identity.
     """
 
-    __slots__ = ("kind", "n", "q_val", "dim", "scale")
+    __slots__ = ("kind", "n", "q_val", "dim", "scale", "_gens")
     _interned = {}
 
     def __new__(cls, kind, n=None, q_val=None):
@@ -62,6 +70,12 @@ class QuadSpace:
         if self is None:
             self = cls._interned[key] = object.__new__(cls)
             (self.kind, self.n, self.q_val), self.dim, self.scale = key, dim, scale
+            h, gens = dim // 2, []
+            for g in range(1, dim + 1):
+                p, q = g + h if g <= h else 0, self.q(g) * scale ** 2
+                gens.append((1 << (g - 1), p, (1 << (p - 1)) if p else 0,
+                             (q.re.numerator, q.im.numerator) if q else None))
+            self._gens = tuple(gens)
         return self
 
     def q(self, j):
@@ -143,29 +157,6 @@ def line_space(q_val):
     return QuadSpace("line", q_val=q_val)
 
 
-@lru_cache(maxsize=None)
-def _push_generator(space, mono, g):
-    """Multiply the monomial e_mono by the rescaled generator e_g on the right.
-
-    Returns a tuple of (monomial, kr, ki) terms with Gaussian-integer
-    constants kr + ki*i (see `_term_numerators` for the rescaling).
-    Folding from the right: e_S e_g with s = max(S): if s < g just append;
-    if s = g contract to Q(g); if s > g use e_s e_g = <e_s,e_g> - e_g e_s.
-    """
-    if not mono:
-        return (((g,), 1, 0),)
-    s = mono[-1]
-    if s < g:
-        return ((mono + (g,), 1, 0),)
-    if s == g:
-        k = space.q(g) * space.scale ** 2
-        return ((mono[:-1], k.re.numerator, k.im.numerator),) if k else ()
-    # distinct generators: an even or odd space, where <e_s,e_g> is 0 or 1
-    out = [(mono[:-1], 1, 0)] if space.pair(s, g) else []
-    out += [(sub + (s,), -kr, -ki) for sub, kr, ki in _push_generator(space, mono[:-1], g)]
-    return tuple(out)
-
-
 def _term_numerators(x):
     """(den, re, im): x's coefficients, in the order of ``x.terms``, as
     Gaussian-integer numerators over their least common denominator
@@ -181,34 +172,75 @@ def _term_numerators(x):
                        else [c / scale ** len(m) for m, c in x.terms.items()])
 
 
+def _mask(mono):
+    """The bitmask of a strictly increasing monomial: bit j - 1 for index j."""
+    m = 0
+    for j in mono:
+        m |= 1 << (j - 1)
+    return m
+
+
+def _mono(m):
+    """The strictly increasing monomial of a bitmask, lowest set bit first."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length())
+        m ^= low
+    return tuple(out)
+
+
 def _fold(space, frontier, gens):
     """The terms of (sum of frontier terms) * e_g1 * e_g2 * ..., g in gens.
 
-    frontier lists (monomial, re, im) terms; the generators are folded in
-    one at a time through _push_generator.  gens are distinct (a basis
-    monomial, or one reversed), every basis vector pairs nontrivially with
-    at most one basis vector, and Q is nonzero only on self-paired ones, so
-    the terms that grow out of one monomial never land on the same
-    monomial within a step: a plain list loses no merging, and equal
-    monomials from different starting terms are summed once, at the end.
+    frontier lists (mask, re, im) terms, the monomial a bitmask (`_mask`).
+    Each generator g is folded in by the closed form of e_S e_g: moving e_g
+    left past the e_s with s > g flips the sign once per such s and, at
+    g's partner p > g, contracts to <e_p, e_g> = 1, so
+      e_S e_g = (-1)^#{s in S: s > g} e_{S xor g}   (times Q(g) if g in S)
+              + (-1)^#{s in S: s > p} e_{S minus p}  (if p in S),
+    with Q(g) rescaled as in `_term_numerators` and the constants read
+    from ``space._gens``.  gens are distinct (a basis monomial, or one
+    reversed), so the terms that grow out of one monomial never land on
+    the same monomial within a step: a plain list loses no merging, and
+    equal monomials from different starting terms are summed once, at the
+    end.  Masks live only inside the kernel: `CliffordElement.__mul__` and
+    `beta` build them, and `_from_numerators` turns them back into tuples.
     """
+    table = space._gens
     for g in gens:
-        frontier = [(m2, re * kr - im * ki, re * ki + im * kr)
-                    for m, re, im in frontier for m2, kr, ki in _push_generator(space, m, g)]
+        bit, p, pbit, q = table[g - 1]
+        out = []
+        add = out.append
+        for m, re, im in frontier:
+            if m & pbit:
+                add((m ^ pbit, -re, -im) if (m >> p).bit_count() & 1 else (m ^ pbit, re, im))
+            if m & bit:
+                if q is None:
+                    continue
+                re, im = re * q[0] - im * q[1], re * q[1] + im * q[0]
+            add((m ^ bit, -re, -im) if (m >> g).bit_count() & 1 else (m ^ bit, re, im))
+        frontier = out
     return frontier
 
 
 def _from_numerators(space, terms, den):
-    """The element sum of terms over den, undoing the line rescaling."""
+    """The element sum of (mask, re, im) terms over den, undoing the line
+    rescaling; each distinct mask becomes a monomial tuple once."""
     acc = {}
     for m, re, im in terms:
         prev = acc.get(m)
         acc[m] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
     out = {}
+    scale = space.scale
     for m, (re, im) in acc.items():
         if re or im:
-            f = space.scale ** len(m)
-            out[m] = GaussRat._fast(Fraction(re * f, den), Fraction(im * f, den))
+            if scale != 1:
+                f = scale ** m.bit_count()
+                re, im = re * f, im * f
+            # Fraction(int) skips the gcd that Fraction(int, 1) takes
+            out[_mono(m)] = (GaussRat._fast(Fraction(re), Fraction(im)) if den == 1
+                             else GaussRat._fast(Fraction(re, den), Fraction(im, den)))
     return CliffordElement._raw(space, out)
 
 
@@ -246,10 +278,6 @@ class CliffordElement:
     @classmethod
     def one(cls, space):
         return cls.scalar(space, GaussRat(1))
-
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
 
     @classmethod
     def generator(cls, space, j):
@@ -337,9 +365,11 @@ class CliffordElement:
             self._require_same_space(other)
             da, ar, ai = _term_numerators(self)
             db, br, bi = _term_numerators(other)
-            terms = (t for mb, r2, i2 in zip(other.terms, br, bi) for t in _fold(
+            masks = [_mask(ma) for ma in self.terms]
+            terms = chain.from_iterable(_fold(
                 self.space, [(ma, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
-                             for ma, r1, i1 in zip(self.terms, ar, ai)], mb))
+                             for ma, r1, i1 in zip(masks, ar, ai)], mb)
+                for mb, r2, i2 in zip(other.terms, br, bi))
             return _from_numerators(self.space, terms, da * db)
         o = _as_gauss(other)
         if o is None:
@@ -407,8 +437,8 @@ def beta(x):
     full.)
     """
     den, re, im = _term_numerators(x)
-    return _from_numerators(x.space, (t for m, r, i in zip(x.terms, re, im)
-                                      for t in _fold(x.space, [((), r, i)], reversed(m))), den)
+    return _from_numerators(x.space, chain.from_iterable(
+        _fold(x.space, [(0, r, i)], reversed(m)) for m, r, i in zip(x.terms, re, im)), den)
 
 
 class GPinElement:

@@ -113,9 +113,6 @@ class GaussRat:
         re_part = Fraction(re_text) if re_text else Fraction(0)
         return cls(re_part, Fraction(im_text))
 
-    def conj(self):
-        return GaussRat(self.re, -self.im)
-
     def norm(self):
         """The field norm re^2 + im^2, a non-negative Fraction."""
         return self.re * self.re + self.im * self.im
@@ -231,57 +228,23 @@ class Poly:
     def is_monic(self):
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def shift(self, k):
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly((GaussRat(0),) * k + self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly(out)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly(())
-            # convolve the Gaussian-integer numerators over the product of
-            # the two denominators
-            da, ar, ai = _numerators(self.coeffs)
-            db, br, bi = _numerators(other.coeffs)
-            re = [0] * (len(ar) + len(br) - 1)
-            im = list(re)
-            for j, (x, y) in enumerate(zip(ar, ai)):
-                if x or y:
-                    top = j + len(br)
-                    re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
-                    im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
-            return _poly_over(da * db, re, im)
-        o = _as_gauss(other)
-        if o is None:
+        if not isinstance(other, Poly):
             return NotImplemented
-        return Poly(tuple(c * o for c in self.coeffs))
-
-    def __rmul__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return self * o
+        if not self.coeffs or not other.coeffs:
+            return Poly(())
+        # convolve the Gaussian-integer numerators over the product of the
+        # two denominators
+        da, ar, ai = _numerators(self.coeffs)
+        db, br, bi = _numerators(other.coeffs)
+        re = [0] * (len(ar) + len(br) - 1)
+        im = list(re)
+        for j, (x, y) in enumerate(zip(ar, ai)):
+            if x or y:
+                top = j + len(br)
+                re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
+                im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
+        return _poly_over(da * db, re, im)
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be a GaussRat-like scalar or a square Mat."""
@@ -408,14 +371,6 @@ class Mat:
 
     def transpose(self):
         return Mat(tuple(zip(*self.rows)))
-
-    def trace(self):
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        acc = GaussRat(0)
-        for i in range(self.nrows):
-            acc = acc + self.rows[i][i]
-        return acc
 
     def is_zero(self):
         return all(not c for r in self.rows for c in r)

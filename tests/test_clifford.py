@@ -1,12 +1,16 @@
 """Tests for the Clifford algebra layer and the GPin/GSpin machinery."""
 
+import importlib
 import json
+import pkgutil
 import re
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
 
+import gspin
 from gspin import clifford
 from gspin.clifford import (
     CliffordElement,
@@ -222,6 +226,60 @@ def test_beta_is_anti_involution():
         assert beta(x * y) == beta(y) * beta(x)
 
 
+# ------------------------------------------------- product kernel oracle
+
+def push_generator_oracle(space, mono, g):
+    """e_mono * e_g for the rescaled generators e = D * (basis vector),
+    D = space.scale, as (monomial, kr, ki) terms with Gaussian-integer
+    constants kr + ki*i.  Folding from the right with s = max(mono): if
+    s < g append; if s = g contract to Q(e_g) = D^2 Q(g); if s > g use
+    e_s e_g = <e_s, e_g> - e_g e_s and recurse."""
+    if not mono:
+        return [((g,), 1, 0)]
+    s = mono[-1]
+    if s < g:
+        return [(mono + (g,), 1, 0)]
+    if s == g:
+        k = space.q(g) * space.scale ** 2
+        return [(mono[:-1], k.re.numerator, k.im.numerator)] if k else []
+    k = space.pair(s, g) * space.scale ** 2
+    out = [(mono[:-1], k.re.numerator, k.im.numerator)] if k else []
+    rest = push_generator_oracle(space, mono[:-1], g)
+    return out + [(sub + (s,), -kr, -ki) for sub, kr, ki in rest]
+
+
+def oracle_element(space, terms, length):
+    """The element of oracle terms from a product of `length` rescaled generators."""
+    d = space.scale
+    acc = {}
+    for m, kr, ki in terms:
+        c = GaussRat(kr, ki) * GaussRat(Fraction(d ** len(m), d ** length))
+        acc[m] = acc.get(m, GaussRat(0)) + c
+    return CliffordElement(space, acc)
+
+
+def all_monomials(space):
+    return [m for r in range(space.dim + 1) for m in combinations(range(1, space.dim + 1), r)]
+
+
+KERNEL_SPACES = [even_space(2), even_space(3), odd_space(2), odd_space(3), line_space(-1),
+                 line_space(GaussRat(Fraction(2, 3), Fraction(1, 5)))]
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=repr)
+def test_product_kernel_matches_recursive_push(space):
+    for mono in all_monomials(space):
+        x = CliffordElement.monomial(space, mono)
+        for g in range(1, space.dim + 1):
+            want = oracle_element(space, push_generator_oracle(space, mono, g), len(mono) + 1)
+            assert x * gen(space, g) == want, (mono, g)
+        frontier = [((), 1, 0)]
+        for g in reversed(mono):
+            frontier = [(m2, r * kr - i * ki, r * ki + i * kr) for m, r, i in frontier
+                        for m2, kr, ki in push_generator_oracle(space, m, g)]
+        assert beta(x) == oracle_element(space, frontier, len(mono)), mono
+
+
 # ----------------------------------------------------------- GPin, norms
 
 def test_spinor_norm_of_scalar_is_square():
@@ -268,7 +326,7 @@ def test_gpin_rejects_bad_elements():
     for j in (1, 2, 3):
         volume = volume * (gen(v, j) + gen(v, 3 + j)) * (gen(v, j) - gen(v, 3 + j))
     cases = [
-        (CliffordElement.zero(v), "zero is not in GPin"),
+        (CliffordElement(v, {}), "zero is not in GPin"),
         (one(v) + gen(v, 1), "GPin elements must be homogeneous in the grading"),
         (gen(v, 1), "spinor norm is zero: element is not invertible"),  # isotropic
         # x*beta(x) = -2 e1e2e3e4
@@ -333,23 +391,24 @@ def test_composed_elements_match_full_check(space):
         _assert_matches_full_check(x)
 
 
-def test_product_memo_is_bounded_by_monomials_times_generators():
-    # The kernel memoizes one push of a generator onto a monomial, so a
-    # space of dimension d can hold at most 2^d * d entries across all of
-    # gspin.clifford's caches; a table of monomial pairs (up to 4^d) or a
-    # second memo beside the first would overflow it on a dense n = 5 check.
-    n = 5
-    space = even_space(n)
+def test_membership_check_grows_no_module_cache():
+    # The product kernel keeps nothing between calls: a dense n = 5 check
+    # leaves every module-level cache of gspin as it was, so no table grows
+    # with the input.
+    space = even_space(5)
     rng = Random(5)
     x = one(space)
     for _ in range(4):
         x = x * random_vector(space, rng, span=3, nnz=space.dim)
     assert len(x.terms) > 150
-    caches = [f for f in vars(clifford).values() if hasattr(f, "cache_info")]
-    for f in caches:
-        f.cache_clear()
+    modules = [gspin] + [importlib.import_module(f"gspin.{m.name}")
+                         for m in pkgutil.iter_modules(gspin.__path__)]
+    caches = [obj for module in modules for obj in vars(module).values()
+              if hasattr(obj, "cache_info")]
+    assert caches
+    before = [f.cache_info().currsize for f in caches]
     GPinElement(x)
-    assert sum(f.cache_info().currsize for f in caches) <= 2 ** (2 * n) * 2 * n
+    assert [f.cache_info().currsize for f in caches] == before
 
 
 def test_group_operations_derive_no_inverse(monkeypatch):

@@ -2,9 +2,9 @@
 
 charpoly gets two independent oracles: a Faddeev-LeVerrier implementation
 written from the trace recurrence (below), and sympy; its integer minor
-recurrence is also checked against the same recurrence on Poly objects.  Poly products are
-checked against a GaussRat double loop written here.  Expected values in
-the frozen examples were computed by hand.
+recurrence is also checked against the same recurrence on lists of GaussRat
+coefficients.  Poly products are checked against a GaussRat double loop
+written here.  Expected values in the frozen examples were computed by hand.
 """
 
 from fractions import Fraction
@@ -31,6 +31,10 @@ from gspin.rootdata import TorusCoordinates, torus_point
 from gspin.spinrep import half_spin_matrix
 
 
+def trace(m):
+    return sum((m[i, i] for i in range(m.nrows)), GaussRat(0))
+
+
 def charpoly_faddeev_leverrier(m):
     # oracle: c_{n-k} = -tr(A * M_{k-1}) / k, M_k = A*M_{k-1} + c_{n-k} I
     n = m.nrows
@@ -39,15 +43,23 @@ def charpoly_faddeev_leverrier(m):
     mk = Mat.identity(n)
     for k in range(1, n + 1):
         mk = m * mk
-        ck = -(mk.trace() * GaussRat(Fraction(1, k)))
+        ck = -(trace(mk) * GaussRat(Fraction(1, k)))
         coeffs[n - k] = ck
         mk = mk + Mat.identity(n) * ck
     return Poly(coeffs)
 
 
+def minus_scaled(p, c, q):
+    """p - c*q on coefficient lists, lowest degree first."""
+    out = list(p) + [GaussRat(0)] * (len(q) - len(p))
+    for k, b in enumerate(q):
+        out[k] = out[k] - c * b
+    return out
+
+
 def charpoly_minor_recurrence(m):
     # oracle: the same Hessenberg reduction, then the minor recurrence on
-    # Poly objects with GaussRat coefficients
+    # lists of GaussRat coefficients
     n = m.nrows
     H = [list(row) for row in m.rows]
     for k in range(n - 2):
@@ -62,17 +74,17 @@ def charpoly_minor_recurrence(m):
             H[r] = [a - f * b for a, b in zip(H[r], H[k + 1])]
             for row in H:
                 row[k + 1] = row[k + 1] + f * row[r]
-    polys = [Poly([1])]
+    polys = [[GaussRat(1)]]
     for k in range(1, n + 1):
-        pk = polys[k - 1].shift(1) - H[k - 1][k - 1] * polys[k - 1]
+        pk = minus_scaled([GaussRat(0)] + polys[k - 1], H[k - 1][k - 1], polys[k - 1])
         run = GaussRat(1)
         for j in range(k - 1, 0, -1):
             run = run * H[j][j - 1]
             if not run:
                 break
-            pk = pk - (H[j - 1][k - 1] * run) * polys[j - 1]
+            pk = minus_scaled(pk, H[j - 1][k - 1] * run, polys[j - 1])
         polys.append(pk)
-    return polys[n]
+    return Poly(polys[n])
 
 
 def sympy_matrix(m):
@@ -163,7 +175,7 @@ def test_gaussrat_field_ops():
     b = GaussRat(2, 3)
     assert a + b - b == a
     assert (a * b) / b == a
-    assert a * a.conj() == GaussRat(a.norm())
+    assert a * GaussRat(a.re, -a.im) == GaussRat(a.norm())
     assert SQRT_M1 * SQRT_M1 == GaussRat(-1)
     assert GaussRat(7) / GaussRat(7) == 1
 
@@ -235,8 +247,6 @@ def test_poly_ring_ops():
     p = Poly([1, 1])       # 1 + x
     q = Poly([-1, 1])      # -1 + x
     assert p * q == Poly([-1, 0, 1])
-    assert p + q == Poly([0, 2])
-    assert p.shift(2) == Poly([0, 0, 1, 1])
     assert (p * q)(GaussRat(3)) == GaussRat(8)
 
 
@@ -293,7 +303,6 @@ def test_mat_basic_algebra():
     assert m - m == Mat.zeros(2)
     assert m * Mat.identity(2) == m
     assert m.transpose().transpose() == m
-    assert m.trace() == GaussRat(5)
     assert (m ** 0) == Mat.identity(2)
     assert (m ** 3) == m * m * m
 

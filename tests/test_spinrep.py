@@ -230,7 +230,7 @@ def test_act_rejects_line_space():
 
 
 def _embed(space, v):
-    out = CliffordElement.zero(space)
+    out = CliffordElement(space, {})
     for u, c in v.items():
         out = out + CliffordElement.monomial(space, u) * c
     return out
