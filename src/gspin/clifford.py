@@ -10,10 +10,12 @@ strictly increasing indices; multiplication folds generators into a
 monomial one at a time using e_j e_k = <e_j,e_k> - e_k e_j for j > k and
 e_j^2 = Q(e_j).  Each basis vector pairs with at most one other, so
 e_S e_g has a closed form with at most two terms (`_fold`), computed on
-`int` bitmasks that never leave the product kernel; ``terms`` keys stay
-sorted tuples, and nothing is memoized.  On top of the algebra sit the
-group elements (``GPinElement``: homogeneous, invertible, stabilizing V
-under conjugation), the spinor norm, the vector representation pr_circ
+`int` bitmasks and Gaussian-integer numerators that never leave this
+module; ``terms`` keys stay sorted tuples, and nothing is memoized.
+Products, ``beta`` and the membership check of ``GPinElement`` share
+that kernel (`_product`, `_beta_terms`, `_merge`).  On top of the algebra
+sit the group elements (``GPinElement``: homogeneous, invertible,
+stabilizing V under conjugation), the spinor norm, the vector representation pr_circ
 (twisted conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the
 graded embedding ``c_phi`` of an orthogonal decomposition, the standard
 embedding ``i_std`` of the odd group into the even one, and the outer
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import chain
 from math import lcm
 
-from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, inverse, rank
+from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, rank
 
 
 class QuadSpace:
@@ -193,8 +195,9 @@ def _mono(m):
 def _fold(space, frontier, gens):
     """The terms of (sum of frontier terms) * e_g1 * e_g2 * ..., g in gens.
 
-    frontier lists (mask, re, im) terms, the monomial a bitmask (`_mask`).
-    Each generator g is folded in by the closed form of e_S e_g: moving e_g
+    frontier lists (mask, re, im) terms, the monomial a bitmask (`_mask`)
+    and re + im*i a Gaussian-integer numerator (`_term_numerators`).  Each
+    generator g is folded in by the closed form of e_S e_g: moving e_g
     left past the e_s with s > g flips the sign once per such s and, at
     g's partner p > g, contracts to <e_p, e_g> = 1, so
       e_S e_g = (-1)^#{s in S: s > g} e_{S xor g}   (times Q(g) if g in S)
@@ -204,8 +207,9 @@ def _fold(space, frontier, gens):
     reversed), so the terms that grow out of one monomial never land on
     the same monomial within a step: a plain list loses no merging, and
     equal monomials from different starting terms are summed once, at the
-    end.  Masks live only inside the kernel: `CliffordElement.__mul__` and
-    `beta` build them, and `_from_numerators` turns them back into tuples.
+    end (`_merge`).  Masks live only inside this module: products, `beta`
+    and the membership check of `GPinElement` work on such lists, and
+    `_from_numerators` turns them back into tuples.
     """
     table = space._gens
     for g in gens:
@@ -224,23 +228,46 @@ def _fold(space, frontier, gens):
     return frontier
 
 
-def _from_numerators(space, terms, den):
-    """The element sum of (mask, re, im) terms over den, undoing the line
-    rescaling; each distinct mask becomes a monomial tuple once."""
+def _merge(terms):
+    """(mask, re, im) terms with equal masks summed and zero sums dropped."""
     acc = {}
     for m, re, im in terms:
         prev = acc.get(m)
         acc[m] = (re, im) if prev is None else (prev[0] + re, prev[1] + im)
+    return [(m, re, im) for m, (re, im) in acc.items() if re or im]
+
+
+def _product(space, left, right):
+    """The unmerged terms of (sum of left) * (sum of right).
+
+    left lists (mask, re, im) terms; right lists (monomial, re, im) terms,
+    the monomial any increasing sequence of generator indices.  Each right
+    term folds its generators into the scaled left terms (`_fold`).
+    """
+    return chain.from_iterable(
+        _fold(space, [(m, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2) for m, r1, i1 in left], mono)
+        for mono, r2, i2 in right)
+
+
+def _beta_terms(space, monos, re, im):
+    """The unmerged terms of beta of the element with numerators re + im*i
+    on the monomials monos: each monomial folded out in reverse order."""
+    return chain.from_iterable(_fold(space, [(0, r, i)], reversed(m))
+                               for m, r, i in zip(monos, re, im))
+
+
+def _from_numerators(space, terms, den):
+    """The element sum of (mask, re, im) terms over den, undoing the line
+    rescaling; each distinct mask becomes a monomial tuple once."""
     out = {}
     scale = space.scale
-    for m, (re, im) in acc.items():
-        if re or im:
-            if scale != 1:
-                f = scale ** m.bit_count()
-                re, im = re * f, im * f
-            # Fraction(int) skips the gcd that Fraction(int, 1) takes
-            out[_mono(m)] = (GaussRat._fast(Fraction(re), Fraction(im)) if den == 1
-                             else GaussRat._fast(Fraction(re, den), Fraction(im, den)))
+    for m, re, im in _merge(terms):
+        if scale != 1:
+            f = scale ** m.bit_count()
+            re, im = re * f, im * f
+        # Fraction(int) skips the gcd that Fraction(int, 1) takes
+        out[_mono(m)] = (GaussRat._fast(Fraction(re), Fraction(im)) if den == 1
+                         else GaussRat._fast(Fraction(re, den), Fraction(im, den)))
     return CliffordElement._raw(space, out)
 
 
@@ -365,12 +392,10 @@ class CliffordElement:
             self._require_same_space(other)
             da, ar, ai = _term_numerators(self)
             db, br, bi = _term_numerators(other)
-            masks = [_mask(ma) for ma in self.terms]
-            terms = chain.from_iterable(_fold(
-                self.space, [(ma, r1 * r2 - i1 * i2, r1 * i2 + i1 * r2)
-                             for ma, r1, i1 in zip(masks, ar, ai)], mb)
-                for mb, r2, i2 in zip(other.terms, br, bi))
-            return _from_numerators(self.space, terms, da * db)
+            left = [(_mask(m), r, i) for m, r, i in zip(self.terms, ar, ai)]
+            return _from_numerators(self.space,
+                                    _product(self.space, left, zip(other.terms, br, bi)),
+                                    da * db)
         o = _as_gauss(other)
         if o is None:
             return NotImplemented
@@ -437,8 +462,7 @@ def beta(x):
     full.)
     """
     den, re, im = _term_numerators(x)
-    return _from_numerators(x.space, chain.from_iterable(
-        _fold(x.space, [(0, r, i)], reversed(m)) for m, r, i in zip(x.terms, re, im)), den)
+    return _from_numerators(x.space, _beta_terms(x.space, x.terms, re, im), den)
 
 
 class GPinElement:
@@ -446,12 +470,16 @@ class GPinElement:
 
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
-    conjugation must send every basis vector back into V.  An element holds
-    what that check verified: `elt`, `space`, `parity`, `_norm` (the spinor
-    norm, read by `spinor_norm()`) and `_pr_circ` (the matrix of
-    v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the full spin
-    matrix once spinrep has computed it (None before), so it lives as long
-    as the element does; the half-spin matrices are its diagonal blocks.
+    conjugation must send every basis vector back into V.  The check runs
+    on Gaussian-integer numerators (`_fold`): it folds beta(x) and
+    x*beta(x) once, and each image x e_j beta(x) straight from x's terms;
+    only the norm and the image coordinates become `GaussRat` values.  An
+    element holds what that check verified: `elt`, `space`, `parity`,
+    `_norm` (the spinor norm, read by `spinor_norm()`) and `_pr_circ` (the
+    matrix of v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the full
+    spin matrix once spinrep has computed it (None before), so it lives as
+    long as the element does; the half-spin matrices are its diagonal
+    blocks.
 
     The group is closed under products, inverses, powers and theta, so
     those operations derive the data of their result from verified
@@ -468,25 +496,36 @@ class GPinElement:
             raise ValueError("zero is not in GPin")
         if not elt.is_homogeneous():
             raise ValueError("GPin elements must be homogeneous in the grading")
-        self.elt = elt
-        self.space = elt.space
-        self.parity = elt.parity()
-        b = beta(elt)
-        nrm = elt * b
-        if not nrm.is_scalar():
+        space = elt.space
+        self.elt, self.space, self.parity = elt, space, elt.parity()
+        # numerators over den (x) and den^2 (beta(x) and every product with it)
+        den, re, im = _term_numerators(elt)
+        x = [(_mask(m), r, i) for m, r, i in zip(elt.terms, re, im)]
+        b = [(_mono(m), r, i) for m, r, i in _merge(_beta_terms(space, elt.terms, re, im))]
+        nrm = _merge(_product(space, x, b))
+        if any(m for m, _, _ in nrm):
             raise ValueError("x*beta(x) is not scalar: element is not in GPin")
-        self._norm = nrm.scalar_value()
-        if not self._norm:
+        nr, ni = (nrm[0][1], nrm[0][2]) if nrm else (0, 0)
+        if not (nr or ni):
             raise ValueError("spinor norm is zero: element is not invertible")
-        inv = b / self._norm
+        self._norm = GaussRat._fast(Fraction(nr, den * den), Fraction(ni, den * den))
+        # x e_j beta(x) / N has coordinates (r + s i) / (nr + ni i): the den^2
+        # cancels.  On a line the fold multiplies by the rescaled generator
+        # D u (`_term_numerators`): it yields D times the image, written on
+        # the basis vector D u, which is the image's own coordinate on u, so
+        # lines need no correction.
+        nn = nr * nr + ni * ni
+        zero = GaussRat(0)
         cols = []
-        for j in range(1, self.space.dim + 1):
-            image = elt * CliffordElement.generator(self.space, j) * inv
-            coords = image.as_vector()
-            if coords is None:
-                raise ValueError("conjugation does not stabilize V: element is not in GPin")
-            cols.append(coords)
-        self._pr_circ = Mat.from_cols(cols)
+        for j in range(1, space.dim + 1):
+            col = [zero] * space.dim
+            for m, r, s in _merge(_product(space, _merge(_fold(space, x, (j,))), b)):
+                if m.bit_count() != 1:
+                    raise ValueError("conjugation does not stabilize V: element is not in GPin")
+                col[m.bit_length() - 1] = GaussRat._fast(Fraction(r * nr + s * ni, nn),
+                                                         Fraction(s * nr - r * ni, nn))
+            cols.append(col)
+        self._pr_circ = Mat._raw(tuple(zip(*cols)))
         self._spin = None
 
     @classmethod
@@ -506,8 +545,22 @@ class GPinElement:
         return self._norm
 
     def inverse(self):
+        """x^{-1} = beta(x)/N.  pr_circ preserves the pairing (M^T G M = G for
+        M = pr_circ(x) and the Gram matrix G), so pr_circ(x^{-1}) = G^{-1} M^T G.
+        G pairs basis vector i with one partner p(i) (itself on a line and
+        on the odd space's last vector, where <f, f> = 2), so that product
+        is the index map (i, j) -> M[p(j), p(i)], with the last row halved
+        and the last column doubled on the odd space."""
+        space, rows = self.space, self._pr_circ.rows
+        d, h = space.dim, space.dim // 2
+        p = [i + h if i < h else i - h if i < 2 * h else i for i in range(d)]
+        out = [[rows[p[j]][p[i]] for j in range(d)] for i in range(d)]
+        if space.kind == "odd":
+            out[-1][:-1] = [c / 2 for c in out[-1][:-1]]
+            for row in out[:-1]:
+                row[-1] = row[-1] * 2
         return GPinElement._composed(beta(self.elt) / self._norm, self.parity, 1 / self._norm,
-                                     inverse(self._pr_circ))
+                                     Mat._raw(tuple(map(tuple, out))))
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
@@ -561,8 +614,14 @@ def theta(g):
     if g.space.kind != "even":
         raise ValueError("theta is defined on the even-space group")
     th = theta_element(g.space)
-    t = theta_circ_matrix(g.space.n)
-    return GPinElement._composed(th * g.elt * th, g.parity, g._norm, t * g._pr_circ * t)
+    # T M T for T = theta_circ_matrix(n): the signs cancel, leaving the swap
+    # of the indices n and 2n on rows and columns
+    n = g.space.n
+    p = list(range(2 * n))
+    p[n - 1], p[2 * n - 1] = 2 * n - 1, n - 1
+    rows = g._pr_circ.rows
+    t = Mat._raw(tuple(tuple(rows[i][j] for j in p) for i in p))
+    return GPinElement._composed(th * g.elt * th, g.parity, g._norm, t)
 
 
 class OrthogonalSplit:

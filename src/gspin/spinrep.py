@@ -80,14 +80,16 @@ def act(c, vec):
             raise ValueError("module vector indices out of range for this space")
         if any(a >= b for a, b in zip(u, u[1:])):
             raise ValueError("module vector keys must be strictly increasing index tuples")
+    # a unit coefficient (every basis column of a spin matrix) needs no product
+    entries = [(u, v, v == 1) for u, v in vec.items()]
     acc = {}
     for mono, coeff in c.terms.items():
-        for u, v in vec.items():
+        for u, v, unit in entries:
             hit = _apply_monomial(w, mono, u)
             if hit is None:
                 continue
             sign, target = hit
-            x = v * coeff
+            x = coeff if unit else v * coeff
             if sign < 0:
                 x = -x
             prev = acc.get(target)

@@ -31,7 +31,7 @@ from gspin.clifford import (
     theta_circ_matrix,
     theta_element,
 )
-from gspin.exact import SQRT_M1, GaussRat, Mat
+from gspin.exact import SQRT_M1, GaussRat, Mat, inverse
 from gspin.rootdata import TorusCoordinates, torus_clifford_element, torus_point
 
 
@@ -340,6 +340,133 @@ def test_gpin_rejects_bad_elements():
         assert str(err.value) == message
 
 
+def membership_oracle(elt):
+    """The membership check through public arithmetic: beta(x), x * beta(x),
+    then elt * e_j * inv for inv = beta(x)/N.  Returns (N, pr_circ) or raises
+    ValueError with the check's message."""
+    if elt.is_zero():
+        raise ValueError("zero is not in GPin")
+    if not elt.is_homogeneous():
+        raise ValueError("GPin elements must be homogeneous in the grading")
+    b = beta(elt)
+    nrm = elt * b
+    if not nrm.is_scalar():
+        raise ValueError("x*beta(x) is not scalar: element is not in GPin")
+    norm = nrm.scalar_value()
+    if not norm:
+        raise ValueError("spinor norm is zero: element is not invertible")
+    inv = b / norm
+    cols = []
+    for j in range(1, elt.space.dim + 1):
+        coords = (elt * gen(elt.space, j) * inv).as_vector()
+        if coords is None:
+            raise ValueError("conjugation does not stabilize V: element is not in GPin")
+        cols.append(coords)
+    return norm, Mat.from_cols(cols)
+
+
+def _outcome(check, elt):
+    try:
+        return check(elt)
+    except ValueError as err:
+        return str(err)
+
+
+def _fraction(rng):
+    return GaussRat(Fraction(rng.randint(-7, 7), rng.randint(1, 6)),
+                    Fraction(rng.randint(-7, 7), rng.randint(1, 6)))
+
+
+def fractional_vector(space, rng):
+    """An anisotropic vector with at most three Gaussian-rational coordinates."""
+    while True:
+        coords = [GaussRat(0)] * space.dim
+        for j in rng.sample(range(space.dim), rng.randint(1, min(3, space.dim))):
+            coords[j] = _fraction(rng)
+        if space.quad(coords):
+            return CliffordElement.vector(space, coords)
+
+
+# lines with a Gaussian-integer Q and with scale 15
+FRACTIONAL_LINE = line_space(GaussRat(Fraction(2, 3), Fraction(1, 5)))
+CHECK_SPACES = [even_space(2), even_space(3), even_space(4), odd_space(2), odd_space(3),
+                odd_space(4), line_space(GaussRat(-3)), line_space(GaussRat(1, 2)), FRACTIONAL_LINE]
+
+
+@pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
+def test_membership_check_matches_oracle_on_members(space):
+    assert space.scale == (15 if space is FRACTIONAL_LINE else 1)
+    rng = Random(83 + 10 * space.dim + len(space.kind))
+    for _ in range(6):
+        x = CliffordElement.scalar(space, _fraction(rng) or GaussRat(1))
+        for _ in range(rng.randint(0, 3)):
+            x = x * fractional_vector(space, rng)
+        g = GPinElement(x)
+        assert (g.spinor_norm(), g.pr_circ()) == membership_oracle(x)
+
+
+@pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
+def test_membership_check_matches_oracle_on_random_elements(space):
+    # sums of a few random monomials of one parity, and products of vectors
+    # with or without one such monomial added: members and non-members
+    rng = Random(89 + 10 * space.dim + len(space.kind))
+    monos = all_monomials(space)
+    outcomes = set()
+    for k in range(40):
+        parity = rng.randint(0, 1)
+        if k % 2:
+            x = fractional_vector(space, rng)
+            if parity == 0:
+                x = x * fractional_vector(space, rng)
+            terms = {} if k % 4 == 1 else {rng.choice(monos[1:] if parity else monos): 1}
+        else:
+            x, terms = CliffordElement(space, {}), {}
+            for _ in range(rng.randint(1, 3)):
+                terms[rng.choice([m for m in monos if len(m) % 2 == parity])] = 1
+        x = x + CliffordElement(space, {m: _fraction(rng) for m in terms})
+        fast = _outcome(lambda e: (lambda g: (g.spinor_norm(), g.pr_circ()))(GPinElement(e)), x)
+        assert fast == _outcome(membership_oracle, x), x
+        outcomes.add(fast if isinstance(fast, str) else "member")
+    # on a line every nonzero homogeneous element is a member
+    assert "member" in outcomes
+    assert len(outcomes) >= (2 if space.kind == "line" else 3), outcomes
+
+
+def odd_volume():
+    v = odd_space(4)
+    volume = one(v)
+    for j in (1, 2, 3):
+        volume = volume * (gen(v, j) + gen(v, 3 + j)) * (gen(v, j) - gen(v, 3 + j))
+    return volume
+
+
+NON_MEMBERS = [
+    (CliffordElement(even_space(3), {}), "zero is not in GPin"),
+    (one(odd_space(3)) + gen(odd_space(3), 1) * gen(odd_space(3), 2) * gen(odd_space(3), 5),
+     "GPin elements must be homogeneous in the grading"),
+    (one(FRACTIONAL_LINE) + gen(FRACTIONAL_LINE, 1),
+     "GPin elements must be homogeneous in the grading"),
+    (gen(even_space(3), 1) * gen(even_space(3), 2) + gen(even_space(3), 3) * gen(even_space(3), 4),
+     "x*beta(x) is not scalar: element is not in GPin"),
+    (gen(odd_space(3), 1) * gen(odd_space(3), 5) + gen(odd_space(3), 2) * gen(odd_space(3), 4) / 3,
+     "x*beta(x) is not scalar: element is not in GPin"),
+    (gen(even_space(3), 1) * GaussRat(Fraction(2, 3)), "spinor norm is zero: element is not invertible"),
+    (gen(odd_space(3), 2), "spinor norm is zero: element is not invertible"),
+    (gen(line_space(0), 1), "spinor norm is zero: element is not invertible"),
+    # 2 + w1...w6 for an orthogonal basis w of span(f1..f6) in the odd space
+    # of dim 7: w1...w6 anticommutes with that span
+    (2 + odd_volume(), "conjugation does not stabilize V: element is not in GPin"),
+]
+
+
+@pytest.mark.parametrize("elt, message", NON_MEMBERS, ids=lambda v: repr(v)[:40])
+def test_membership_check_messages_match_oracle(elt, message):
+    assert _outcome(membership_oracle, elt) == message
+    with pytest.raises(ValueError) as err:
+        GPinElement(elt)
+    assert str(err.value) == message
+
+
 def test_product_across_spaces_of_equal_dimension_is_rejected():
     # both lines have dim 1, so the 1x1 pr_circ matrices would multiply
     g = GPinElement(gen(line_space(2), 1))
@@ -412,37 +539,45 @@ def test_membership_check_grows_no_module_cache():
 
 
 def test_group_operations_derive_no_inverse(monkeypatch):
-    # beta(x)/N is the inverse element; only inverse() and the membership
-    # check of a new element compute it.
+    # beta(x)/N is the inverse element; only inverse() builds it.  The
+    # membership check works on numerators and calls neither beta nor a
+    # division of elements.
     space = even_space(4)
     rng = Random(23)
     g, h = random_gpin(space, rng), random_gpin(space, rng)
     s = TorusCoordinates((2, 3, 5, 7, 11))
-    counts = {"beta": 0, "checks": 0}
-    full_beta, full_check = clifford.beta, GPinElement.__init__
+    counts = {"beta": 0, "div": 0, "checks": 0}
+    full_beta, full_div = clifford.beta, CliffordElement.__truediv__
+    full_check = GPinElement.__init__
 
     def counting_beta(x):
         counts["beta"] += 1
         return full_beta(x)
+
+    def counting_div(x, c):
+        counts["div"] += 1
+        return full_div(x, c)
 
     def counting_check(self, elt):
         counts["checks"] += 1
         full_check(self, elt)
 
     monkeypatch.setattr(clifford, "beta", counting_beta)
+    monkeypatch.setattr(CliffordElement, "__truediv__", counting_div)
     monkeypatch.setattr(GPinElement, "__init__", counting_check)
 
     def cost(op):
-        counts.update(beta=0, checks=0)
+        counts.update(beta=0, div=0, checks=0)
         op()
-        return counts["beta"], counts["checks"]
+        return counts["beta"], counts["div"], counts["checks"]
 
-    assert cost(lambda: g * h) == (0, 0)
-    assert cost(lambda: g ** 3) == (0, 0)
-    assert cost(lambda: theta(g)) == (0, 0)
-    assert cost(lambda: g.inverse()) == (1, 0)
+    assert cost(lambda: g * h) == (0, 0, 0)
+    assert cost(lambda: g ** 3) == (0, 0, 0)
+    assert cost(lambda: theta(g)) == (0, 0, 0)
+    assert cost(lambda: g.inverse()) == (1, 1, 0)
+    assert cost(lambda: GPinElement(g.elt)) == (0, 0, 1)
     # a torus point checks its n + 1 small factors in full and composes the rest
-    assert cost(lambda: torus_point(s)) == (5, 5)
+    assert cost(lambda: torus_point(s)) == (0, 0, 5)
 
 
 def test_gpin_inverse_and_power():
@@ -452,6 +587,29 @@ def test_gpin_inverse_and_power():
     assert (g * g.inverse()).elt == one(space)
     assert (g ** 3).elt == (g * g * g).elt
     assert (g ** -1) == g.inverse()
+
+
+def _oracle_operands(space, rng):
+    """Fully checked and composed elements with integer and fractional coefficients."""
+    g, h = random_gpin(space, rng), random_gpin(space, rng, factors=1)
+    f = GPinElement(fractional_vector(space, rng) * fractional_vector(space, rng))
+    return [g, h, f, g * h, f * h, h.inverse() * f]
+
+
+@pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
+def test_inverse_pr_circ_matches_matrix_inverse(space):
+    rng = Random(97 + 10 * space.dim + len(space.kind))
+    for x in _oracle_operands(space, rng):
+        assert x.inverse().pr_circ() == inverse(x.pr_circ())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_theta_pr_circ_matches_matrix_conjugation(n):
+    space = even_space(n)
+    rng = Random(101 + n)
+    t = theta_circ_matrix(n)
+    for x in _oracle_operands(space, rng):
+        assert theta(x).pr_circ() == t * x.pr_circ() * t
 
 
 # --------------------------------------------------------------- pr_circ
