@@ -95,11 +95,7 @@ class QuadSpace:
         self._check_index(k)
         if j == k:
             return GaussRat(2) * self.q(j)
-        if self.kind == "even":
-            return GaussRat(int(abs(j - k) == self.n))
-        if self.kind == "odd":
-            return GaussRat(int(abs(j - k) == self.n - 1 and max(j, k) <= 2 * self.n - 2))
-        return GaussRat(0)
+        return GaussRat(int(self._gens[min(j, k) - 1][1] == max(j, k)))
 
     def _check_index(self, j):
         if not (type(j) is int and 1 <= j <= self.dim):
@@ -207,9 +203,10 @@ def _fold(space, frontier, gens):
     reversed), so the terms that grow out of one monomial never land on
     the same monomial within a step: a plain list loses no merging, and
     equal monomials from different starting terms are summed once, at the
-    end (`_merge`).  Masks live only inside this module: products, `beta`
-    and the membership check of `GPinElement` work on such lists, and
-    `_from_numerators` turns them back into tuples.
+    end (`_merge`).  Products, `beta` and the membership check of
+    `GPinElement` work on such lists, and `_from_numerators` turns them
+    back into tuples; `spinrep.act` walks the Fock module on the same
+    masks.  `_mask` and `_mono` are the only conversions.
     """
     table = space._gens
     for g in gens:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 
-from .clifford import CliffordElement, GPinElement, even_space
+from .clifford import CliffordElement, GPinElement, _mono, even_space
 from .exact import SQRT_M1, GaussRat, _as_gauss, _Value
 
 _ZERO = GaussRat(0)
@@ -403,13 +403,8 @@ def mu_eps(n, eps):
 
 def parity_subsets(n, eps):
     """Subsets U of {1..n} with (-1)^{#U} = eps, in colex order."""
-    eps = _eps_value(eps)
-    out = []
-    for mask in range(1 << n):
-        u = tuple(i + 1 for i in range(n) if mask >> i & 1)
-        if (-1) ** len(u) == eps:
-            out.append(u)
-    return tuple(out)
+    odd = _eps_value(eps) == -1
+    return tuple(_mono(m) for m in range(1 << n) if m.bit_count() % 2 == odd)
 
 
 def spin_weights(n, eps):
@@ -559,9 +554,10 @@ def torus_clifford_element(c, a, b):
     """The group element c * prod_i (a_i e_i e_{n+i} + b_i e_{n+i} e_i).
 
     A factor with a_i = b_i is the scalar a_i (e_i e_{n+i} + e_{n+i} e_i = 1)
-    and is folded into c.  The scalar and the other factors are small and
-    fully checked; their product composes the norm and pr_circ of the
-    point from theirs.
+    and is folded into c; any other is (a_i - b_i) e_i e_{n+i} + b_i by the
+    same relation.  The scalar and the other factors are small and fully
+    checked; their product composes the norm and pr_circ of the point from
+    theirs.
     """
     a = [_coerce_scalar(x) for x in a]
     b = [_coerce_scalar(x) for x in b]
@@ -576,11 +572,9 @@ def torus_clifford_element(c, a, b):
         if ai == bi:
             c = c * ai
     t = GPinElement(CliffordElement.scalar(space, c))
-    for i in range(1, n + 1):
-        if a[i - 1] != b[i - 1]:
-            ei = CliffordElement.generator(space, i)
-            eni = CliffordElement.generator(space, n + i)
-            t = t * GPinElement(ei * eni * a[i - 1] + eni * ei * b[i - 1])
+    for i, (ai, bi) in enumerate(zip(a, b), 1):
+        if ai != bi:
+            t = t * GPinElement(CliffordElement(space, {(i, n + i): ai - bi, (): bi}))
     return t
 
 

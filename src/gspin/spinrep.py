@@ -4,16 +4,20 @@ The module is the exterior algebra on W = span(e_1..e_n) inside V_2n:
 W-generators act by wedging, W'-generators (e_{n+1}..e_{2n}) by
 contraction against the pairing.  Module vectors are sparse dicts mapping
 index subsets U of {1..n} (strictly increasing tuples) to coefficients;
-the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.
+the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  `act` walks each
+subset as the bitmask of the Clifford product kernel (`clifford._mask`,
+bit j - 1 for index j), so a wedge or a contraction is one bit operation
+signed by the number of set bits below it.
 
 Basis bookkeeping follows the signed vectors b_U = (-1)^{#U} m_U.  The
 even-degree b_U (where the sign is +1, so b_U = m_U) are ordered
-colexicographically; the k-th odd-block basis vector is defined as the
-image of the k-th even one under x -> (theta element)*x / sqrt(-1), which
-works out to the plain monomial of U xor {n}.  That choice makes the
-theta intertwiner literally sqrt(-1) times the identity and turns the
-restriction triangle through psi into an on-the-nose matrix identity.
-spin_basis is the one place that fixes these orders.
+colexicographically, which is ascending mask order; the k-th odd-block
+basis vector is defined as the image of the k-th even one under
+x -> (theta element)*x / sqrt(-1), which works out to the plain monomial
+of U xor {n}.  That choice makes the theta intertwiner literally
+sqrt(-1) times the identity and turns the restriction triangle through
+psi into an on-the-nose matrix identity.  spin_basis is the one place
+that fixes these orders.
 
 The odd-dimensional space V_{2n-1} gets the analogous module on subsets
 of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
@@ -22,10 +26,11 @@ of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 
-from .clifford import CliffordElement, GPinElement, beta, even_space, odd_space, theta_element
+from .clifford import (
+    CliffordElement, GPinElement, _mask, _mono, beta, even_space, odd_space, theta_element,
+)
 from .exact import GaussRat, Mat, _Value
 from .rootdata import _eps_value, parity_subsets
 
@@ -38,31 +43,33 @@ def vacuum():
 
 
 def _apply_monomial(w, mono, u):
-    """Walk the basis subset u through a Clifford monomial, last generator first.
+    """Walk the basis mask u through a Clifford monomial, last generator first.
 
-    w = dim W.  Each generator sends a basis monomial to plus or minus one
-    basis monomial or to 0, so a whole monomial does too.  Generators
-    1..w wedge (sign: the number of indices the new one moves past),
-    w+1..2w contract (sign: the position of the removed index), and 2w+1,
-    the odd space's anisotropic f_{2n-1}, multiplies by (-1)^{#U}.
-    Returns (sign, subset) with sign +1 or -1, or None when the image is 0.
+    w = dim W and u has bit j - 1 for index j (`clifford._mask`).  Each
+    generator sends a basis monomial to plus or minus one basis monomial
+    or to 0, so a whole monomial does too.  Generator g <= w wedges on bit
+    g - 1, g <= 2w contracts bit g - w - 1, each signed by the number of
+    set bits below it; 2w + 1, the odd space's anisotropic f_{2n-1},
+    multiplies by (-1)^{#U}.  Returns (sign, mask) with sign +1 or -1, or
+    None when the image is 0.
     """
     sign = 1
     for g in reversed(mono):
         if g <= w:
-            k = bisect_left(u, g)
-            if k < len(u) and u[k] == g:
+            bit = 1 << (g - 1)
+            if u & bit:
                 return None
-            u = u[:k] + (g,) + u[k:]
+            below = u & (bit - 1)
+            u |= bit
         elif g <= 2 * w:
-            j = g - w
-            k = bisect_left(u, j)
-            if k == len(u) or u[k] != j:
+            bit = 1 << (g - w - 1)
+            if not u & bit:
                 return None
-            u = u[:k] + u[k + 1:]
+            u ^= bit
+            below = u & (bit - 1)
         else:
-            k = len(u)
-        if k % 2:
+            below = u
+        if below.bit_count() & 1:
             sign = -sign
     return sign, u
 
@@ -81,7 +88,7 @@ def act(c, vec):
         if any(a >= b for a, b in zip(u, u[1:])):
             raise ValueError("module vector keys must be strictly increasing index tuples")
     # a unit coefficient (every basis column of a spin matrix) needs no product
-    entries = [(u, v, v == 1) for u, v in vec.items()]
+    entries = [(_mask(u), v, v == 1) for u, v in vec.items()]
     acc = {}
     for mono, coeff in c.terms.items():
         for u, v, unit in entries:
@@ -94,7 +101,7 @@ def act(c, vec):
                 x = -x
             prev = acc.get(target)
             acc[target] = x if prev is None else prev + x
-    return {u: v for u, v in acc.items() if v}
+    return {_mono(m): v for m, v in acc.items() if v}
 
 
 def _action_matrix(c, src, dst):
@@ -150,9 +157,7 @@ def spin_basis(space, label):
         raise ValueError("label must be 'full', '+' or '-'")
     n = space.n
     if space.kind == "odd":
-        return tuple(
-            tuple(j + 1 for j in range(n - 1) if mask >> j & 1) for mask in range(1 << (n - 1))
-        )
+        return tuple(_mono(m) for m in range(1 << (n - 1)))
     if space.kind != "even":
         raise ValueError(_NO_MODULE)
     plus = parity_subsets(n, 1)
@@ -221,7 +226,7 @@ def psi_matrix(n):
     size = len(src)
     cols = []
     for s in src:
-        target = s if len(s) % 2 == 0 else tuple(sorted(s + (n,)))
+        target = s if len(s) % 2 == 0 else s + (n,)
         col = [GaussRat(0)] * size
         col[offsets[target]] = GaussRat(1)
         cols.append(col)

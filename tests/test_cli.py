@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from gspin import cli, suites
 from gspin.cli import SUITES, main
 from gspin.clifford import CliffordElement, even_space, odd_space, theta
+from gspin.exact import GaussRat
 from gspin.rootdata import torus_point
 
 
@@ -442,6 +444,37 @@ def test_table_spin_matrix_odd_space():
     assert t["space"] == {"kind": "odd", "n": 3}
     assert len(t["matrix"]) == 4
     assert t["basis"] == [[], [1], [2], [1, 2]]
+
+
+def _vector_product(space, *vectors):
+    out = CliffordElement.one(space)
+    for coords in vectors:
+        out = out * CliffordElement.vector(space, coords)
+    return json.dumps(out.to_json())
+
+
+_HALF, _THIRD, _I = Fraction(1, 2), Fraction(1, 3), GaussRat(0, 1)
+# An even n = 3 element and an odd n = 4 one (through f_7) with
+# fractional and imaginary coefficients, each a product of vectors.
+_EVEN_3 = _vector_product(even_space(3), [1, 0, 0, _HALF, 0, 0],
+                          [0, _I, 1, 0, 2 * _THIRD, GaussRat(1, -1)])
+_ODD_4 = _vector_product(odd_space(4), [1, 0, 0, 0, 0, 0, _I], [0, _THIRD, 0, 0, 2, 1, 0],
+                         [0, 0, 1, 0, 0, -_HALF, 3])
+
+
+@pytest.mark.parametrize("element, eps, digest", [
+    (_EVEN_3, "full", "c264217bb408befb6b8b089796f16c236820e11585b04c60ce9c5828531da58d"),
+    (_EVEN_3, "+", "edda71ca8e0f38ed9e43ebd8e6a9883a04447d0a89b5d7d864d25fa9c49317aa"),
+    (_EVEN_3, "-", "299d8f469155f7e3cdc4a0576ae727b4169afde3a0d15b73849efded155ae50f"),
+    (_ODD_4, "full", "25c976eda4db1c353bcee54b20ea3c8aeabd608e7e82e7ba3a17a947412d752f"),
+], ids=["even-full", "even-plus", "even-minus", "odd-full"])
+def test_table_spin_matrix_is_pinned(element, eps, digest):
+    # The bytes of `table spin-matrix` for fixed elements with fractional
+    # and imaginary coefficients; a change to the module walk or the basis
+    # order must leave them as they are.
+    rc, out = run_cli(["table", "spin-matrix", "--element", element, "--eps", eps])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_table_spin_matrix_usage_errors():

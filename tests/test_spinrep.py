@@ -210,7 +210,8 @@ def test_act_index_out_of_range():
 
 
 def test_act_rejects_unsorted_or_repeated_indices():
-    # The walk locates indices by bisection, so it needs basis subsets.
+    # The walk turns each key into a bitmask, which forgets order and
+    # repeats, so act must reject keys that are not basis subsets.
     sp = even_space(3)
     for u in ((2, 1), (1, 1), (3, 1, 2)):
         with pytest.raises(ValueError):
@@ -240,33 +241,34 @@ def _project(x, limit):
     return {m: c for m, c in x.terms.items() if all(j <= limit for j in m)}
 
 
-def test_act_agrees_with_clifford_product_even():
+@pytest.mark.parametrize("sp", [even_space(2), even_space(3), even_space(4)],
+                         ids=lambda sp: f"n={sp.n}")
+def test_act_agrees_with_clifford_product_even(sp):
     # The module is C(V) modulo the left ideal generated by the dual
     # half W'; acting and then reducing must match multiplying in C(V)
     # and dropping every monomial that still contains a W' index.
     rng = random.Random(11)
-    sp = even_space(3)
     for _ in range(25):
         g = random_gpin(sp, rng)
         v = {}
         for u in rng.sample(spin_basis(sp, "full"), 3):
             v[u] = GaussRat(rng.randint(-4, 4), rng.randint(-2, 2))
         v = {u: c for u, c in v.items() if c}
-        expected = _project(g.elt * _embed(sp, v), 3)
+        expected = _project(g.elt * _embed(sp, v), sp.n)
         assert act(g.elt, v) == expected
 
 
-def test_act_agrees_with_clifford_product_odd_subalgebra():
+@pytest.mark.parametrize("sp", [odd_space(3), odd_space(4)], ids=lambda sp: f"n={sp.n}")
+def test_act_agrees_with_clifford_product_odd_subalgebra(sp):
     # Same reduction oracle on the odd space, for elements that avoid the
     # anisotropic generator (whose action is the separate parity rule).
     rng = random.Random(12)
-    sp = odd_space(3)
     for _ in range(25):
-        mono = tuple(sorted(rng.sample(range(1, 5), rng.randint(0, 3))))
+        mono = tuple(sorted(rng.sample(range(1, sp.dim), rng.randint(0, 3))))
         c = CliffordElement.monomial(sp, mono) * GaussRat(rng.randint(1, 5))
         v = {u: GaussRat(rng.randint(-3, 3)) for u in spin_basis(sp, "full")}
         v = {u: x for u, x in v.items() if x}
-        assert act(c, v) == _project(c * _embed(sp, v), 2)
+        assert act(c, v) == _project(c * _embed(sp, v), sp.n - 1)
 
 
 def test_act_composition_is_product():
