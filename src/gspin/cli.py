@@ -220,9 +220,13 @@ def _load_json(text, what):
 def _parse_element(text, what):
     data = _load_json(text, what)
     try:
-        elt = CliffordElement.from_json(data)
-        _check_n(elt.space.n)
-        return GPinElement(elt)
+        # cap n before the space is built: its generator table holds 2n masks
+        # of up to 2n bits, so a huge n would exhaust memory first
+        space = data["space"]
+        if isinstance(space, dict) and space.get("kind") in ("even", "odd") \
+                and type(space.get("n")) is int:
+            _check_n(space["n"])
+        return GPinElement(CliffordElement.from_json(data))
     except (ArithmeticError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad element for {what}: {exc}")
 

@@ -205,7 +205,7 @@ def _fold(space, frontier, gens):
     equal monomials from different starting terms are summed once, at the
     end (`_merge`).  Products, `beta` and the membership check of
     `GPinElement` work on such lists, and `_from_numerators` turns them
-    back into tuples; `spinrep.act` walks the Fock module on the same
+    back into tuples; `spinrep._column` walks the Fock module on the same
     masks.  `_mask` and `_mono` are the only conversions.
     """
     table = space._gens
@@ -542,7 +542,8 @@ class GPinElement:
         return self._norm
 
     def inverse(self):
-        """x^{-1} = beta(x)/N.  pr_circ preserves the pairing (M^T G M = G for
+        """x^{-1} = beta(x)/N, built from beta(x)'s numerators (`_beta_terms`)
+        times 1/N in one pass.  pr_circ preserves the pairing (M^T G M = G for
         M = pr_circ(x) and the Gram matrix G), so pr_circ(x^{-1}) = G^{-1} M^T G.
         G pairs basis vector i with one partner p(i) (itself on a line and
         on the odd space's last vector, where <f, f> = 2), so that product
@@ -556,7 +557,13 @@ class GPinElement:
             out[-1][:-1] = [c / 2 for c in out[-1][:-1]]
             for row in out[:-1]:
                 row[-1] = row[-1] * 2
-        return GPinElement._composed(beta(self.elt) / self._norm, self.parity, 1 / self._norm,
+        # beta(x)/N in one pass: with N = (a + b i)/dN, 1/N = dN (a - b i)/(a^2 + b^2)
+        den, re, im = _term_numerators(self.elt)
+        dn, (a,), (b,) = _numerators([self._norm])
+        inv = _from_numerators(space, ((m, (r * a + s * b) * dn, (s * a - r * b) * dn)
+                                       for m, r, s in _beta_terms(space, self.elt.terms, re, im)),
+                               den * (a * a + b * b))
+        return GPinElement._composed(inv, self.parity, 1 / self._norm,
                                      Mat._raw(tuple(map(tuple, out))))
 
     def __mul__(self, other):

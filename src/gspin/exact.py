@@ -457,6 +457,9 @@ class Mat:
 
 def _poly_over(den, re, im):
     """The polynomial with coefficients (re[k] + im[k]*i) / den."""
+    if den == 1:
+        # Fraction(int) skips the gcd that Fraction(int, 1) takes
+        return Poly([GaussRat._fast(Fraction(a), Fraction(b)) for a, b in zip(re, im)])
     return Poly([GaussRat._fast(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)])
 
 
@@ -510,34 +513,45 @@ def charpoly(m):
         if H[k - 1][k - 1]:
             scalars.append(H[k - 1][k - 1])
             uses.append(k - 1)
-        run = None  # H[j][j-1] ... H[k-1][k-2], all nonzero
+        # run = H[j][j-1] ... H[k-1][k-2], all nonzero; its factors wait in
+        # `pending` until some H[j-1][k-1] uses the product
+        run, pending = None, []
         for j in range(k - 1, 0, -1):
             h = H[j][j - 1]
             if not h:
                 break
-            run = h if run is None else run * h
+            pending.append(h)
             if H[j - 1][k - 1]:
+                for factor in pending:
+                    run = factor if run is None else run * factor
+                pending = []
                 scalars.append(H[j - 1][k - 1] * run)
                 uses.append(j - 1)
-        e, sre, sim = _numerators(scalars)
         dprev, rprev, iprev = polys[k - 1]
+        if not scalars:
+            # p_k = x p_{k-1}
+            polys.append((dprev, [0] + rprev, [0] + iprev))
+            continue
+        e, sre, sim = _numerators(scalars)
         big = lcm(dprev, *(polys[i][0] for i in uses))
         den = e * big
         f = den // dprev
-        re = [0] + [c * f for c in rprev]
-        im = [0] + [c * f for c in iprev]
+        re = [0] + (rprev if f == 1 else [c * f for c in rprev])
+        im = [0] + (iprev if f == 1 else [c * f for c in iprev])
         for a, b, i in zip(sre, sim, uses):
             di, ri, ii = polys[i]
             f = big // di
-            a, b = a * f, b * f
+            if f != 1:
+                a, b = a * f, b * f
             top = len(ri)
             re[:top] = [r - a * x + b * y for r, x, y in zip(re, ri, ii)]
             im[:top] = [s - a * y - b * x for s, x, y in zip(im, ri, ii)]
-        g = gcd(den, *re, *im)
-        if g != 1:
-            den = den // g
-            re = [c // g for c in re]
-            im = [c // g for c in im]
+        if den != 1:
+            g = gcd(den, *re, *im)
+            if g != 1:
+                den = den // g
+                re = [c // g for c in re]
+                im = [c // g for c in im]
         polys.append((den, re, im))
     return _poly_over(*polys[n])
 

@@ -4,10 +4,13 @@ The module is the exterior algebra on W = span(e_1..e_n) inside V_2n:
 W-generators act by wedging, W'-generators (e_{n+1}..e_{2n}) by
 contraction against the pairing.  Module vectors are sparse dicts mapping
 index subsets U of {1..n} (strictly increasing tuples) to coefficients;
-the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  `act` walks each
-subset as the bitmask of the Clifford product kernel (`clifford._mask`,
+the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  Each subset is
+walked as the bitmask of the Clifford product kernel (`clifford._mask`,
 bit j - 1 for index j), so a wedge or a contraction is one bit operation
-signed by the number of set bits below it.
+signed by the number of set bits below it.  One walker, `_column`, takes a
+basis mask through every monomial of an element; `act` sums its columns
+with the vector's coefficients, and a spin matrix is one such walk per
+column, written straight into the matrix (`_action_matrix`).
 
 Basis bookkeeping follows the signed vectors b_U = (-1)^{#U} m_U.  The
 even-degree b_U (where the sign is +1, so b_U = m_U) are ordered
@@ -74,33 +77,49 @@ def _apply_monomial(w, mono, u):
     return sign, u
 
 
-def act(c, vec):
-    """Apply a Clifford element to a module vector (sparse subset dict)."""
+def _walk_data(c):
+    """(w, terms) of `_column` for the element c, after act's type and
+    space-kind checks: w = dim W, and (monomial, c, -c) for each term, so
+    a signed image is picked, never multiplied."""
     if not isinstance(c, CliffordElement):
         raise TypeError("act expects a CliffordElement")
     space = c.space
     if space.kind not in ("even", "odd"):
         raise ValueError(_NO_MODULE)
     w = space.n if space.kind == "even" else space.n - 1
+    return w, [(mono, x, -x) for mono, x in c.terms.items()]
+
+
+def _column(w, terms, u):
+    """The image of the basis mask u as {mask: coefficient}, zero sums kept."""
+    acc = {}
+    for mono, pos, neg in terms:
+        hit = _apply_monomial(w, mono, u)
+        if hit is None:
+            continue
+        sign, target = hit
+        x = pos if sign > 0 else neg
+        prev = acc.get(target)
+        acc[target] = x if prev is None else prev + x
+    return acc
+
+
+def act(c, vec):
+    """Apply a Clifford element to a module vector (sparse subset dict)."""
+    w, terms = _walk_data(c)
     for u in vec:
         if any(not (1 <= j <= w) for j in u):
             raise ValueError("module vector indices out of range for this space")
         if any(a >= b for a, b in zip(u, u[1:])):
             raise ValueError("module vector keys must be strictly increasing index tuples")
-    # a unit coefficient (every basis column of a spin matrix) needs no product
-    entries = [(_mask(u), v, v == 1) for u, v in vec.items()]
     acc = {}
-    for mono, coeff in c.terms.items():
-        for u, v, unit in entries:
-            hit = _apply_monomial(w, mono, u)
-            if hit is None:
-                continue
-            sign, target = hit
-            x = coeff if unit else v * coeff
-            if sign < 0:
-                x = -x
-            prev = acc.get(target)
-            acc[target] = x if prev is None else prev + x
+    for u, v in vec.items():
+        unit = v == 1  # a unit coefficient needs no product
+        for m, x in _column(w, terms, _mask(u)).items():
+            if not unit:
+                x = v * x
+            prev = acc.get(m)
+            acc[m] = x if prev is None else prev + x
     return {_mono(m): v for m, v in acc.items() if v}
 
 
@@ -108,18 +127,21 @@ def _action_matrix(c, src, dst):
     """Matrix of v -> c*v from span(src) to span(dst).
 
     src and dst are sequences of module basis subsets; column k is the
-    image of src[k] in dst coordinates.  Raises ValueError if an image has
-    a component outside dst.
+    image of src[k] in dst coordinates, one `_column` walk per column.
+    Raises ValueError if an image has a nonzero component outside dst.
     """
-    index = {u: k for k, u in enumerate(dst)}
+    w, terms = _walk_data(c)
+    index = {_mask(u): k for k, u in enumerate(dst)}
+    zero = GaussRat(0)
     cols = []
     for u in src:
-        col = [GaussRat(0)] * len(dst)
-        for v, x in act(c, {u: GaussRat(1)}).items():
-            k = index.get(v)
-            if k is None:
+        col = [zero] * len(dst)
+        for m, x in _column(w, terms, _mask(u)).items():
+            k = index.get(m)
+            if k is not None:
+                col[k] = x
+            elif x:
                 raise ValueError("the module action leaves the target basis")
-            col[k] = x
         cols.append(col)
     return Mat._raw(tuple(zip(*cols)))
 

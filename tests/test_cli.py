@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gspin import cli, suites
 from gspin.cli import SUITES, main
-from gspin.clifford import CliffordElement, even_space, odd_space, theta
+from gspin.clifford import CliffordElement, QuadSpace, even_space, odd_space, theta
 from gspin.exact import GaussRat
 from gspin.rootdata import torus_point
 
@@ -311,6 +311,18 @@ def test_malformed_element_json_exits_2(text, flag):
     assert rc == 2
     assert out.getvalue() == ""
     assert err.getvalue().startswith("gspin: error: ")
+
+
+def test_large_n_element_is_rejected_before_its_space_is_built():
+    # a space's generator table holds 2n masks of up to 2n bits, so an
+    # element with a huge n must be turned away before that table exists
+    for kind in ("even", "odd"):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["table", "spin-matrix", "--element", _scalar_element_json("1", kind, 2000)])
+        assert rc == 2
+        assert err.getvalue() == f"gspin: error: {_CAP}\n"
+        assert (kind, 2000, None) not in QuadSpace._interned
 
 
 def test_argparse_errors_exit_2():

@@ -539,9 +539,9 @@ def test_membership_check_grows_no_module_cache():
 
 
 def test_group_operations_derive_no_inverse(monkeypatch):
-    # beta(x)/N is the inverse element; only inverse() builds it.  The
-    # membership check works on numerators and calls neither beta nor a
-    # division of elements.
+    # beta(x)/N is the inverse element; only inverse() builds it, from
+    # beta's numerators in one pass.  Neither inverse() nor the membership
+    # check calls beta or divides an element.
     space = even_space(4)
     rng = Random(23)
     g, h = random_gpin(space, rng), random_gpin(space, rng)
@@ -574,7 +574,7 @@ def test_group_operations_derive_no_inverse(monkeypatch):
     assert cost(lambda: g * h) == (0, 0, 0)
     assert cost(lambda: g ** 3) == (0, 0, 0)
     assert cost(lambda: theta(g)) == (0, 0, 0)
-    assert cost(lambda: g.inverse()) == (1, 1, 0)
+    assert cost(lambda: g.inverse()) == (0, 0, 0)
     assert cost(lambda: GPinElement(g.elt)) == (0, 0, 1)
     # a torus point checks its n + 1 small factors in full and composes the rest
     assert cost(lambda: torus_point(s)) == (0, 0, 5)
@@ -601,6 +601,17 @@ def test_inverse_pr_circ_matches_matrix_inverse(space):
     rng = Random(97 + 10 * space.dim + len(space.kind))
     for x in _oracle_operands(space, rng):
         assert x.inverse().pr_circ() == inverse(x.pr_circ())
+
+
+@pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
+def test_inverse_element_matches_beta_over_norm(space):
+    # inverse() scales beta(x)'s numerators by 1/N in one pass; beta and an
+    # element division are the slow route, term for term and in order
+    rng = Random(103 + 10 * space.dim + len(space.kind))
+    for x in _oracle_operands(space, rng):
+        got = x.inverse().elt
+        assert list(got.terms.items()) == list((beta(x.elt) / x.spinor_norm()).terms.items())
+        assert x.elt * got == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -388,6 +388,85 @@ def test_charpoly_half_spin_diagonal_and_monomial(n):
         assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
 
 
+def monomial_mat(perm, entries):
+    """Column j holds entries[j] in row perm[j]; every other entry is zero."""
+    n = len(perm)
+    rows = [[GaussRat(0)] * n for _ in range(n)]
+    for j, (i, c) in enumerate(zip(perm, entries)):
+        rows[i][j] = c
+    return Mat(rows)
+
+
+def test_charpoly_signed_24_cycle():
+    # one relabelled 24-cycle: only the cycle's closing entry uses the
+    # subdiagonal run, and every earlier step is a plain shift
+    rng = Random(53)
+    labels = list(range(24))
+    rng.shuffle(labels)
+    perm = [0] * 24
+    for k in range(24):
+        perm[labels[k]] = labels[(k + 1) % 24]
+    signs = [GaussRat(rng.choice((-1, 1))) for _ in range(24)]
+    m = monomial_mat(perm, signs)
+    prod = GaussRat(1)
+    for c in signs:
+        prod = prod * c
+    p = charpoly(m)
+    assert p == Poly([-prod] + [0] * 23 + [1])
+    assert p == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["units", "fractional"])
+def test_charpoly_monomial_one_and_two_cycles(fractional):
+    # rep-conj's half-spin shape: 32-square, fixed points and transpositions;
+    # the polynomial is the product of x - c and x^2 - ab over the cycles
+    rng = Random(57 + fractional)
+    labels = list(range(32))
+    rng.shuffle(labels)
+    perm = list(range(32))
+    for a, b in zip(labels[:20:2], labels[1:20:2]):
+        perm[a], perm[b] = b, a
+    if fractional:
+        entries = [rand_frac(rng, 4) or GaussRat(1) for _ in range(32)]
+    else:
+        entries = [rng.choice((GaussRat(1), GaussRat(-1), SQRT_M1, -SQRT_M1)) for _ in range(32)]
+    m = monomial_mat(perm, entries)
+    expected = Poly([1])
+    for j in range(32):
+        if perm[j] == j:
+            expected = expected * Poly([-entries[j], 1])
+        elif perm[j] > j:
+            expected = expected * Poly([-entries[j] * entries[perm[j]], 0, 1])
+    p = charpoly(m)
+    assert p == expected
+    assert p == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["integer", "fractional"])
+def test_charpoly_hessenberg_with_zero_subdiagonal(fractional):
+    # already Hessenberg, sparse above the diagonal so the subdiagonal run
+    # waits over several rows before an entry uses it, and zero at H[6][5]
+    # and H[11][10], so the polynomial is the product over three diagonal
+    # blocks
+    rng = Random(59 + fractional)
+    entry = rand_frac if fractional else rand_gauss
+    n, cuts = 14, (6, 11)
+    rows = [[GaussRat(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(max(0, i - 1), n):
+            if i == j + 1:
+                rows[i][j] = GaussRat(0) if i in cuts else entry(rng) or GaussRat(1)
+            elif rng.random() < 0.4:
+                rows[i][j] = entry(rng)
+    m = Mat(rows)
+    p = charpoly(m)
+    assert p == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+    expected = Poly([1])
+    for lo, hi in zip((0,) + cuts, cuts + (n,)):
+        expected = expected * charpoly_faddeev_leverrier(Mat([r[lo:hi] for r in rows[lo:hi]]))
+    assert p == expected
+
+
 def test_charpoly_one_by_one_and_zero():
     rng = Random(47)
     for _ in range(5):

@@ -319,13 +319,29 @@ def _mixed_element(sp, rng):
     return CliffordElement(sp, terms)
 
 
+def _action_matrix_oracle(c, src, dst):
+    """The matrix of v -> c*v from span(src) to span(dst) by the slow route:
+    `act` on each basis vector, read through dst's index."""
+    index = {u: k for k, u in enumerate(dst)}
+    cols = []
+    for u in src:
+        col = [GaussRat(0)] * len(dst)
+        for v, x in act(c, {u: ONE}).items():
+            if v not in index:
+                raise ValueError("the module action leaves the target basis")
+            col[index[v]] = x
+        cols.append(col)
+    return Mat.from_cols(cols)
+
+
 def _module_generators(sp):
     """A faithful module of C(sp): (basis, {j: matrix of the j-th generator}).
 
     The even space acts on its Fock module.  The odd space maps to the even
     space of the same n along std_split, an isometric embedding, and the
     induced map of Clifford algebras is injective, so its generators act on
-    that Fock module through their vector images.
+    that Fock module through their vector images.  The matrices come from
+    `_action_matrix_oracle`, not from `_action_matrix`.
     """
     n = sp.n
     basis = spin_basis(even_space(n), "full")
@@ -333,7 +349,7 @@ def _module_generators(sp):
         images = [gen(sp, j) for j in range(1, sp.dim + 1)]
     else:
         images = std_split(n).images1
-    return basis, {j + 1: _action_matrix(v, basis, basis) for j, v in enumerate(images)}
+    return basis, {j + 1: _action_matrix_oracle(v, basis, basis) for j, v in enumerate(images)}
 
 
 @pytest.mark.parametrize("sp", [even_space(2), even_space(3), even_space(4), odd_space(2),
@@ -418,6 +434,73 @@ def test_action_matrix_rejects_images_outside_target():
     plus = spin_basis(even_space(3), "+")
     with pytest.raises(ValueError):
         _action_matrix(gen(even_space(3), 1), plus, plus)
+
+
+def _fractional_vector(sp, rng):
+    """An anisotropic vector with three coordinates from `_rand_coeff`."""
+    while True:
+        coords = [GaussRat(0)] * sp.dim
+        for j in rng.sample(range(sp.dim), 3):
+            coords[j] = _rand_coeff(rng)
+        if sp.quad(coords):
+            return CliffordElement.vector(sp, coords)
+
+
+@pytest.mark.parametrize("sp", [even_space(n) for n in range(2, 6)] + [odd_space(3), odd_space(4)],
+                         ids=lambda sp: f"{sp.kind}-{sp.n}")
+def test_action_matrices_match_act_on_each_basis_vector(sp):
+    # _action_matrix walks every column on masks in one pass; act on each
+    # basis vector is the slow route, for group elements of both parities
+    # with fractional and imaginary coefficients, for a non-group element,
+    # and through every public caller
+    rng = random.Random(60 + sp.n + 10 * (sp.kind == "odd"))
+    full = spin_basis(sp, "full")
+    even = GPinElement(_fractional_vector(sp, rng) * _fractional_vector(sp, rng))
+    odd = GPinElement(even.elt * _fractional_vector(sp, rng))
+    mixed = _mixed_element(sp, rng)
+    assert any(c.im for c in even.elt.terms.values())
+    assert any(c.re.denominator > 1 for c in odd.elt.terms.values())
+    for g in (even, odd):
+        assert spin_matrix(g).mat == _action_matrix_oracle(g.elt, full, full)
+    assert _action_matrix(mixed, full, full) == _action_matrix_oracle(mixed, full, full)
+    if sp.kind == "even":
+        n = sp.n
+        plus, minus = spin_basis(sp, "+"), spin_basis(sp, "-")
+        assert half_spin_matrix(even, "+").mat == _action_matrix_oracle(even.elt, plus, plus)
+        assert half_spin_matrix(even, "-").mat == _action_matrix_oracle(even.elt, minus, minus)
+        assert _action_matrix(odd.elt, plus, minus) == _action_matrix_oracle(odd.elt, plus, minus)
+        assert theta_intertwiner(n) == _action_matrix_oracle(theta_element(sp), plus, minus)
+
+
+def test_action_matrix_images_outside_target_may_cancel():
+    # e_1 and e_1 e_2 e_5 both send m_{2} to m_{12}, outside the "-" block;
+    # with opposite signs the images cancel and the matrix exists, with
+    # equal signs they leave the target basis
+    sp = even_space(3)
+    minus = spin_basis(sp, "-")
+    wedge = CliffordElement.monomial(sp, (1,))
+    detour = CliffordElement.monomial(sp, (1, 2, 5))
+    assert act(wedge, {(2,): ONE}) == act(detour, {(2,): ONE}) == {(1, 2): ONE}
+    assert (1, 2) not in minus
+    src = ((2,), (1, 2, 3))
+    cancel = wedge - detour + CliffordElement.scalar(sp, GaussRat(Fraction(2, 3), 1))
+    want = _action_matrix_oracle(cancel, src, minus)
+    assert not want.is_zero()
+    assert _action_matrix(cancel, src, minus) == want
+    message = "the module action leaves the target basis"
+    for c in (wedge + detour, cancel + wedge):
+        with pytest.raises(ValueError, match=message):
+            _action_matrix_oracle(c, src, minus)
+        with pytest.raises(ValueError, match=message):
+            _action_matrix(c, src, minus)
+
+
+def test_action_matrix_checks_the_element_like_act():
+    basis = spin_basis(even_space(2), "full")
+    with pytest.raises(TypeError, match="act expects a CliffordElement"):
+        _action_matrix(GPinElement(CliffordElement.one(even_space(2))), basis, basis)
+    with pytest.raises(ValueError, match="the exterior module is defined"):
+        _action_matrix(gen(line_space(GaussRat(2)), 1), ((),), ((),))
 
 
 # ---------------------------------------------------------------------------
