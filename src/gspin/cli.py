@@ -220,8 +220,8 @@ def _load_json(text, what):
 def _parse_element(text, what):
     data = _load_json(text, what)
     try:
-        # cap n before the space is built: its generator table holds 2n masks
-        # of up to 2n bits, so a huge n would exhaust memory first
+        # cap n before the space is built: QuadSpace._interned keeps every
+        # space for the life of the process, so no input may add one past it
         space = data["space"]
         if isinstance(space, dict) and space.get("kind") in ("even", "odd") \
                 and type(space.get("n")) is int:

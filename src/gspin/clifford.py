@@ -11,7 +11,9 @@ monomial one at a time using e_j e_k = <e_j,e_k> - e_k e_j for j > k and
 e_j^2 = Q(e_j).  Each basis vector pairs with at most one other, so
 e_S e_g has a closed form with at most two terms (`_fold`), computed on
 `int` bitmasks and Gaussian-integer numerators that never leave this
-module; ``terms`` keys stay sorted tuples, and nothing is memoized.
+module.  `exact._numerators` and `exact._over` convert coefficients to
+numerators and back, so this module never reads how a ``GaussRat`` is
+stored; ``terms`` keys stay sorted tuples, and nothing is memoized.
 Products, ``beta`` and the membership check of ``GPinElement`` share
 that kernel (`_product`, `_beta_terms`, `_merge`).  On top of the algebra
 sit the group elements (``GPinElement``: homogeneous, invertible,
@@ -25,12 +27,10 @@ theta_elt = sqrt(-1)*(e_n - e_{2n}).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import lcm
 
-from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, rank
+from .exact import SQRT_M1, GaussRat, Mat, _as_gauss, _numerators, _over, rank
 
 
 class QuadSpace:
@@ -42,17 +42,18 @@ class QuadSpace:
     kind "line": dim 1 with a prescribed Q-value on its basis vector.
 
     ``scale`` is the least positive integer D with D*Q in Z[i] on a line,
-    and 1 otherwise; the product kernel rescales generators by it.
-    ``_gens`` holds the kernel's constants of generator g at g - 1: its
-    bit 1 << (g - 1), its partner p > g (0 if none), p's bit, and the
-    Gaussian-integer numerators of Q(g) * D^2 (None when Q(g) = 0).  With
-    h = dim // 2 the partner of g <= h is g + h on even and odd spaces.
+    and 1 otherwise; the product kernel rescales generators by it.  With
+    h = dim // 2 the partner of g <= h is g + h on even and odd spaces,
+    and no other basis vectors pair.  The top generator g = dim is the
+    only one with Q(g) != 0 (on odd spaces and lines), so ``_top_q``
+    holds the Gaussian-integer numerators of its Q(g) * D^2, or None
+    when Q is zero on every generator.
 
     There is one object per space: every construction returns the
     instance for its (kind, n, Q), so spaces compare by identity.
     """
 
-    __slots__ = ("kind", "n", "q_val", "dim", "scale", "_gens")
+    __slots__ = ("kind", "n", "q_val", "dim", "scale", "_top_q")
     _interned = {}
 
     def __new__(cls, kind, n=None, q_val=None):
@@ -61,23 +62,21 @@ class QuadSpace:
             if not (type(n) is int and n >= least):
                 raise ValueError(f"{kind} space needs n >= {least}")
             key, dim, scale = (kind, n, None), 2 * n if kind == "even" else 2 * n - 1, 1
+            top = None if kind == "even" else (1, 0)
         elif kind == "line":
             q = _as_gauss(q_val)
             if q is None:
                 raise ValueError("line space needs a Q-value")
-            key, dim, scale = (kind, 1, q), 1, lcm(q.re.denominator, q.im.denominator)
+            # Q = (re + im*i) / D, so Q * D^2 = D * (re + im*i)
+            scale, (re,), (im,) = _numerators([q])
+            key, dim, top = (kind, 1, q), 1, (re * scale, im * scale) if q else None
         else:
             raise ValueError(f"unknown space kind {kind!r}")
         self = cls._interned.get(key)
         if self is None:
             self = cls._interned[key] = object.__new__(cls)
             (self.kind, self.n, self.q_val), self.dim, self.scale = key, dim, scale
-            h, gens = dim // 2, []
-            for g in range(1, dim + 1):
-                p, q = g + h if g <= h else 0, self.q(g) * scale ** 2
-                gens.append((1 << (g - 1), p, (1 << (p - 1)) if p else 0,
-                             (q.re.numerator, q.im.numerator) if q else None))
-            self._gens = tuple(gens)
+            self._top_q = top
         return self
 
     def q(self, j):
@@ -95,7 +94,8 @@ class QuadSpace:
         self._check_index(k)
         if j == k:
             return GaussRat(2) * self.q(j)
-        return GaussRat(int(self._gens[min(j, k) - 1][1] == max(j, k)))
+        lo, h = min(j, k), self.dim // 2
+        return GaussRat(int(lo <= h and max(j, k) == lo + h))
 
     def _check_index(self, j):
         if not (type(j) is int and 1 <= j <= self.dim):
@@ -198,19 +198,22 @@ def _fold(space, frontier, gens):
     g's partner p > g, contracts to <e_p, e_g> = 1, so
       e_S e_g = (-1)^#{s in S: s > g} e_{S xor g}   (times Q(g) if g in S)
               + (-1)^#{s in S: s > p} e_{S minus p}  (if p in S),
-    with Q(g) rescaled as in `_term_numerators` and the constants read
-    from ``space._gens``.  gens are distinct (a basis monomial, or one
-    reversed), so the terms that grow out of one monomial never land on
-    the same monomial within a step: a plain list loses no merging, and
-    equal monomials from different starting terms are summed once, at the
-    end (`_merge`).  Products, `beta` and the membership check of
+    with p = g + h for g <= h = dim // 2 and Q(g) rescaled as in
+    `_term_numerators` (nonzero only at g = dim: ``space._top_q``).  gens
+    are distinct (a basis monomial, or one reversed), so the terms that
+    grow out of one monomial never land on the same monomial within a
+    step: a plain list loses no merging, and equal monomials from
+    different starting terms are summed once, at the end (`_merge`).
+    Products, `beta` and the membership check of
     `GPinElement` work on such lists, and `_from_numerators` turns them
     back into tuples; `spinrep._column` walks the Fock module on the same
     masks.  `_mask` and `_mono` are the only conversions.
     """
-    table = space._gens
+    dim, h, top = space.dim, space.dim // 2, space._top_q
     for g in gens:
-        bit, p, pbit, q = table[g - 1]
+        bit = 1 << (g - 1)
+        p, pbit = (g + h, bit << h) if g <= h else (0, 0)
+        q = top if g == dim else None
         out = []
         add = out.append
         for m, re, im in frontier:
@@ -256,16 +259,11 @@ def _beta_terms(space, monos, re, im):
 def _from_numerators(space, terms, den):
     """The element sum of (mask, re, im) terms over den, undoing the line
     rescaling; each distinct mask becomes a monomial tuple once."""
-    out = {}
-    scale = space.scale
-    for m, re, im in _merge(terms):
-        if scale != 1:
-            f = scale ** m.bit_count()
-            re, im = re * f, im * f
-        # Fraction(int) skips the gcd that Fraction(int, 1) takes
-        out[_mono(m)] = (GaussRat._fast(Fraction(re), Fraction(im)) if den == 1
-                         else GaussRat._fast(Fraction(re, den), Fraction(im, den)))
-    return CliffordElement._raw(space, out)
+    terms, scale = _merge(terms), space.scale
+    if scale != 1:
+        terms = [(m, re * f, im * f) for m, re, im in terms for f in (scale ** m.bit_count(),)]
+    masks, re, im = zip(*terms) if terms else ((), (), ())
+    return CliffordElement._raw(space, dict(zip(map(_mono, masks), _over(den, re, im))))
 
 
 class CliffordElement:
@@ -505,24 +503,25 @@ class GPinElement:
         nr, ni = (nrm[0][1], nrm[0][2]) if nrm else (0, 0)
         if not (nr or ni):
             raise ValueError("spinor norm is zero: element is not invertible")
-        self._norm = GaussRat._fast(Fraction(nr, den * den), Fraction(ni, den * den))
+        self._norm = _over(den * den, [nr], [ni])[0]
         # x e_j beta(x) / N has coordinates (r + s i) / (nr + ni i): the den^2
         # cancels.  On a line the fold multiplies by the rescaled generator
         # D u (`_term_numerators`): it yields D times the image, written on
         # the basis vector D u, which is the image's own coordinate on u, so
         # lines need no correction.
-        nn = nr * nr + ni * ni
-        zero = GaussRat(0)
-        cols = []
-        for j in range(1, space.dim + 1):
-            col = [zero] * space.dim
-            for m, r, s in _merge(_product(space, _merge(_fold(space, x, (j,))), b)):
+        nn, zero, d = nr * nr + ni * ni, GaussRat(0), space.dim
+        at, cr, ci = [], [], []
+        for j in range(d):
+            for m, r, s in _merge(_product(space, _merge(_fold(space, x, (j + 1,))), b)):
                 if m.bit_count() != 1:
                     raise ValueError("conjugation does not stabilize V: element is not in GPin")
-                col[m.bit_length() - 1] = GaussRat._fast(Fraction(r * nr + s * ni, nn),
-                                                         Fraction(s * nr - r * ni, nn))
-            cols.append(col)
-        self._pr_circ = Mat._raw(tuple(zip(*cols)))
+                at.append((m.bit_length() - 1, j))
+                cr.append(r * nr + s * ni)
+                ci.append(s * nr - r * ni)
+        rows = [[zero] * d for _ in range(d)]
+        for (i, j), c in zip(at, _over(nn, cr, ci)):
+            rows[i][j] = c
+        self._pr_circ = Mat._raw(tuple(map(tuple, rows)))
         self._spin = None
 
     @classmethod

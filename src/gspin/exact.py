@@ -32,6 +32,15 @@ def _numerators(values):
             [c.im.numerator * (den // c.im.denominator) for c in values])
 
 
+def _over(den, re, im):
+    """The GaussRat values (re[k] + im[k]*i) / den for Gaussian-integer
+    numerators over a positive denominator den: the inverse of `_numerators`."""
+    if den == 1:
+        # Fraction(int) skips the gcd that Fraction(int, 1) takes
+        return list(map(GaussRat._fast, map(Fraction, re), map(Fraction, im)))
+    return [GaussRat._fast(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
+
+
 class _Value:
     """Base of the package's immutable value types.
 
@@ -244,7 +253,7 @@ class Poly:
                 top = j + len(br)
                 re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
                 im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
-        return _poly_over(da * db, re, im)
+        return Poly(_over(da * db, re, im))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be a GaussRat-like scalar or a square Mat."""
@@ -455,14 +464,6 @@ class Mat:
         return cls([[GaussRat.parse(s) for s in r] for r in data])
 
 
-def _poly_over(den, re, im):
-    """The polynomial with coefficients (re[k] + im[k]*i) / den."""
-    if den == 1:
-        # Fraction(int) skips the gcd that Fraction(int, 1) takes
-        return Poly([GaussRat._fast(Fraction(a), Fraction(b)) for a, b in zip(re, im)])
-    return Poly([GaussRat._fast(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)])
-
-
 def charpoly(m):
     """Characteristic polynomial det(x*I - m), monic, computed exactly.
 
@@ -553,7 +554,7 @@ def charpoly(m):
                 re = [c // g for c in re]
                 im = [c // g for c in im]
         polys.append((den, re, im))
-    return _poly_over(*polys[n])
+    return Poly(_over(*polys[n]))
 
 
 def _reduce(rows, ncols):

@@ -4,6 +4,7 @@ import importlib
 import json
 import pkgutil
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from random import Random
@@ -80,6 +81,52 @@ def test_space_gram_symmetric():
     for space in (even_space(2), odd_space(3), line_space(GaussRat(-1))):
         g = space.gram()
         assert g == g.transpose()
+
+
+def old_generator_table(space):
+    """The per-generator table each space used to keep: g's partner p > g
+    (0 if none) and the Gaussian-integer numerators of Q(g) * D^2 (None
+    when Q(g) = 0), with h = dim // 2 and D = space.scale."""
+    h, d = space.dim // 2, space.scale
+    table = []
+    for g in range(1, space.dim + 1):
+        q = space.q(g) * d ** 2
+        table.append((g + h if g <= h else 0, (q.re.numerator, q.im.numerator) if q else None))
+    return table
+
+
+TABLE_SPACES = ([even_space(n) for n in range(2, 6)] + [odd_space(n) for n in range(2, 6)]
+                + [line_space(-1), line_space(GaussRat(-3)), line_space(GaussRat(1, 2)),
+                   line_space(GaussRat(Fraction(2, 3), Fraction(1, 5)))])
+
+
+@pytest.mark.parametrize("space", TABLE_SPACES, ids=repr)
+def test_pairing_matches_the_old_generator_table(space):
+    table = old_generator_table(space)
+    for j in range(1, space.dim + 1):
+        for k in range(1, space.dim + 1):
+            want = (GaussRat(2) * space.q(j) if j == k
+                    else GaussRat(int(table[min(j, k) - 1][0] == max(j, k))))
+            assert space.pair(j, k) == want, (j, k)
+    # only the top generator can be anisotropic, so a space keeps its Q alone
+    assert [q for _, q in table[:-1]] == [None] * (space.dim - 1)
+    assert space._top_q == table[-1][1]
+
+
+def test_large_spaces_hold_constant_size_data():
+    # QuadSpace._interned keeps every space for the life of the process, so
+    # building one must not allocate anything that grows with n
+    tracemalloc.start()
+    try:
+        even_space(5000)
+        odd_space(5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    space = even_space(5000)
+    assert space.pair(1, 5001) == 1 and space.pair(5000, 10000) == 1
+    assert gen(space, 5001) * gen(space, 1) == CliffordElement(space, {(): 1, (1, 5001): -1})
 
 
 @pytest.mark.parametrize("kind, n", [("even", 1), ("even", 4), ("odd", 2), ("odd", 5)])

@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gspin.clifford import CliffordElement, GPinElement, even_space
@@ -21,6 +21,8 @@ from gspin.exact import (
     GaussRat,
     Mat,
     Poly,
+    _numerators,
+    _over,
     charpoly,
     exp_nilpotent,
     inverse,
@@ -206,6 +208,37 @@ def test_gaussrat_text_roundtrip():
 def test_gaussrat_parse_str_roundtrip(a, b, p, q):
     g = GaussRat(Fraction(a, p), Fraction(b, q))
     assert GaussRat.parse(str(g)) == g
+
+
+def test_gaussrat_reflected_subtraction():
+    # int - GaussRat and Fraction - GaussRat go through __rsub__; nonzero
+    # parts on both sides tell o - self from self - o in each part
+    a = GaussRat(Fraction(3, 2), Fraction(-5, 4))
+    assert 7 - a == GaussRat(Fraction(11, 2), Fraction(5, 4))
+    assert Fraction(1, 3) - a == GaussRat(Fraction(-7, 6), Fraction(5, 4))
+    assert -2 - GaussRat(1, 3) == GaussRat(-3, -3)
+
+
+numerator_pairs = st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+                           max_size=6)
+
+
+@given(st.integers(1, 60), numerator_pairs)
+@example(1, [(0, 0)])
+@example(1, [(4, -7), (0, 3), (-2, 0)])
+@example(12, [(0, 0), (0, -9), (-8, 0), (6, 4)])
+@example(5, [])
+def test_over_inverts_numerators(den, parts):
+    values = _over(den, [a for a, _ in parts], [b for _, b in parts])
+    want = [GaussRat(Fraction(a, den), Fraction(b, den)) for a, b in parts]
+    assert values == want
+    assert [(type(v.re), type(v.im)) for v in values] == [(Fraction, Fraction)] * len(parts)
+    assert [str(v) for v in values] == [str(w) for w in want]
+    assert [hash(v) for v in values] == [hash(w) for w in want]
+    d, re, im = _numerators(values)
+    assert d > 0 and den % d == 0
+    assert _over(d, re, im) == values
+    assert [(a * d, b * d) for a, b in parts] == [(r * den, s * den) for r, s in zip(re, im)]
 
 
 def test_gaussrat_division_by_zero():

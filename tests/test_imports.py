@@ -1,6 +1,6 @@
 """Every import of a gspin module is at top level and used by that module, the
-package exports exactly the names it imports, and no gspin module uses
-floating point."""
+package exports exactly the names it imports, no gspin module uses
+floating point, and only `exact.py` knows how a `GaussRat` is stored."""
 
 import ast
 import importlib
@@ -59,6 +59,33 @@ def test_floating_point_is_reported():
               "def f(a: float) -> int:\n    return int(a)\n")
     assert _floating_point(source) == [(1, "1.5"), (2, "2j"), (3, "complex"), (3, "float"),
                                        (4, "0.0"), (4, "1000.0"), (5, "float")]
+
+
+# the attributes that spell out how a GaussRat is stored: its unchecked
+# constructor and the parts of its Fractions
+SCALAR_FORMAT = ("_fast", "numerator", "denominator")
+
+
+def _scalar_format_reads(source):
+    """(line, attribute) for each use of an attribute in SCALAR_FORMAT."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_FORMAT)
+
+
+NOT_EXACT = [p for p in PACKAGE if p.name != "exact.py"]
+
+
+@pytest.mark.parametrize("path", NOT_EXACT, ids=[p.name for p in NOT_EXACT])
+def test_only_exact_reads_the_scalar_format(path):
+    # other modules convert through exact._numerators and exact._over
+    assert _scalar_format_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_scalar_format_read_is_reported():
+    source = ("x = GaussRat._fast(a, b)\ny = q.re.denominator + f(q).im.numerator\n"
+              "numerator = denominator = x.re\n")
+    assert _scalar_format_reads(source) == [(1, "_fast"), (2, "denominator"),
+                                            (2, "numerator")]
 
 
 def _function_level_imports(source):
