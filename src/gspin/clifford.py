@@ -478,7 +478,12 @@ class GPinElement:
 
     The group is closed under products, inverses, powers and theta, so
     those operations derive the data of their result from verified
-    operands (`_composed`) instead of checking membership again.  The
+    operands (`_composed`) instead of checking membership again: a product
+    or power composes the Clifford element, the parity, the norm and
+    pr_circ (a `Mat` product), while `inverse()` and `theta` move pr_circ's
+    entries by index maps.  Every pr_circ carries its nonzero pattern (the
+    check's image positions, or the pattern of the operands'), so none of
+    these operations tests an entry it does not touch for zero.  The
     inverse element beta(x)/N is computed only by `inverse()`.
     """
 
@@ -509,7 +514,7 @@ class GPinElement:
         # D u (`_term_numerators`): it yields D times the image, written on
         # the basis vector D u, which is the image's own coordinate on u, so
         # lines need no correction.
-        nn, zero, d = nr * nr + ni * ni, GaussRat(0), space.dim
+        nn, d = nr * nr + ni * ni, space.dim
         at, cr, ci = [], [], []
         for j in range(d):
             for m, r, s in _merge(_product(space, _merge(_fold(space, x, (j + 1,))), b)):
@@ -518,10 +523,12 @@ class GPinElement:
                 at.append((m.bit_length() - 1, j))
                 cr.append(r * nr + s * ni)
                 ci.append(s * nr - r * ni)
-        rows = [[zero] * d for _ in range(d)]
+        # `_merge` drops zero sums, so every coordinate is nonzero, and j
+        # grows along `at`: the positions are the matrix's nonzero pattern
+        nz = [[] for _ in range(d)]
         for (i, j), c in zip(at, _over(nn, cr, ci)):
-            rows[i][j] = c
-        self._pr_circ = Mat._raw(tuple(map(tuple, rows)))
+            nz[i].append((j, c))
+        self._pr_circ = Mat._sparse(d, list(map(tuple, nz)))
         self._spin = None
 
     @classmethod
@@ -548,14 +555,20 @@ class GPinElement:
         on the odd space's last vector, where <f, f> = 2), so that product
         is the index map (i, j) -> M[p(j), p(i)], with the last row halved
         and the last column doubled on the odd space."""
-        space, rows = self.space, self._pr_circ.rows
+        space = self.space
         d, h = space.dim, space.dim // 2
         p = [i + h if i < h else i - h if i < 2 * h else i for i in range(d)]
-        out = [[rows[p[j]][p[i]] for j in range(d)] for i in range(d)]
+        out = [[] for _ in range(d)]
+        for r, row in enumerate(self._pr_circ._pattern()):
+            for k, c in row:
+                out[p[k]].append((p[r], c))
+        out = [sorted(row) for row in out]
         if space.kind == "odd":
-            out[-1][:-1] = [c / 2 for c in out[-1][:-1]]
-            for row in out[:-1]:
-                row[-1] = row[-1] * 2
+            last = d - 1
+            out[last] = [(j, c if j == last else c / 2) for j, c in out[last]]
+            for row in out[:last]:
+                if row and row[-1][0] == last:
+                    row[-1] = (last, row[-1][1] * 2)
         # beta(x)/N in one pass: with N = (a + b i)/dN, 1/N = dN (a - b i)/(a^2 + b^2)
         den, re, im = _term_numerators(self.elt)
         dn, (a,), (b,) = _numerators([self._norm])
@@ -563,7 +576,7 @@ class GPinElement:
                                        for m, r, s in _beta_terms(space, self.elt.terms, re, im)),
                                den * (a * a + b * b))
         return GPinElement._composed(inv, self.parity, 1 / self._norm,
-                                     Mat._raw(tuple(map(tuple, out))))
+                                     Mat._sparse(d, list(map(tuple, out))))
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
@@ -622,8 +635,8 @@ def theta(g):
     n = g.space.n
     p = list(range(2 * n))
     p[n - 1], p[2 * n - 1] = 2 * n - 1, n - 1
-    rows = g._pr_circ.rows
-    t = Mat._raw(tuple(tuple(rows[i][j] for j in p) for i in p))
+    nz = g._pr_circ._pattern()
+    t = Mat._sparse(2 * n, [tuple(sorted((p[j], c) for j, c in nz[i])) for i in p])
     return GPinElement._composed(th * g.elt * th, g.parity, g._norm, t)
 
 

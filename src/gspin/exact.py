@@ -2,7 +2,8 @@
 
 Scalars are ``GaussRat`` values: pairs of ``fractions.Fraction`` real and
 imaginary parts, so every number of the form a/b + (c/d)*i is represented
-exactly.  Matrices are immutable and dense, and all algorithms here
+exactly.  Matrices are immutable and dense, and carry their nonzero pattern
+for products and zero tests (`Mat`); all algorithms here
 (characteristic polynomial, rank, inversion, Jordan partitions, nilpotent
 exponentials) are pivot-exact.  Nothing in this module touches floating
 point.
@@ -326,9 +327,20 @@ class Poly:
 
 
 class Mat:
-    """Immutable dense matrix over Q(i), stored as a tuple of row tuples."""
+    """Immutable dense matrix over Q(i), stored as a tuple of row tuples.
 
-    __slots__ = ("nrows", "ncols", "rows")
+    ``rows`` is the dense form that ``==``, ``hash`` and the JSON form read.
+    The private ``_nz`` is the nonzero pattern: for each row, the
+    ``(column, entry)`` pairs of its nonzero entries in increasing column
+    order, the same entry objects as in ``rows``.  A kernel that knows the
+    pattern of its output passes it in (`_sparse`); any other matrix
+    computes it once, the first time a product, `is_zero` or `is_diagonal`
+    needs it (`_pattern`).  Products walk patterns only, so a zero entry is
+    never multiplied and an entry that is a single product of nonzero
+    entries is never tested for zero.
+    """
+
+    __slots__ = ("nrows", "ncols", "rows", "_nz")
 
     def __init__(self, rows):
         body = tuple(tuple(c if isinstance(c, GaussRat) else GaussRat(c) for c in r)
@@ -340,31 +352,54 @@ class Mat:
         self.rows = body
         self.nrows = len(body)
         self.ncols = len(body[0])
+        self._nz = None
 
     @classmethod
     def _raw(cls, rows):
         """A matrix from kernel output: a nonempty tuple of equal-length, nonempty
         tuples of GaussRat entries, taken unchecked."""
         self = object.__new__(cls)
-        self.rows, self.nrows, self.ncols = rows, len(rows), len(rows[0])
+        self.rows, self.nrows, self.ncols, self._nz = rows, len(rows), len(rows[0]), None
         return self
 
     @classmethod
+    def _sparse(cls, ncols, nz):
+        """A matrix from its nonzero pattern: nz[i] lists the (column, entry)
+        pairs of row i's nonzero GaussRat entries in increasing column order,
+        taken unchecked; every other entry is zero."""
+        if not nz or ncols < 1:
+            raise ValueError("matrix needs at least one row and one column")
+        zero = GaussRat(0)
+        rows = []
+        for pairs in nz:
+            row = [zero] * ncols
+            for j, c in pairs:
+                row[j] = c
+            rows.append(tuple(row))
+        self = cls._raw(tuple(rows))
+        self._nz = tuple(nz)
+        return self
+
+    def _pattern(self):
+        """The nonzero pattern ``_nz``, computed from ``rows`` on first use."""
+        if self._nz is None:
+            # c.re or c.im: the zero test of GaussRat.__bool__, one call shorter
+            self._nz = tuple(tuple((j, c) for j, c in enumerate(r) if c.re or c.im)
+                             for r in self.rows)
+        return self._nz
+
+    @classmethod
     def identity(cls, n):
-        return cls(tuple(tuple(GaussRat(int(i == j)) for j in range(n)) for i in range(n)))
+        return cls.diag([1] * n)
 
     @classmethod
     def zeros(cls, nrows, ncols=None):
-        ncols = nrows if ncols is None else ncols
-        z = GaussRat(0)
-        return cls(tuple((z,) * ncols for _ in range(nrows)))
+        return cls._sparse(nrows if ncols is None else ncols, [()] * nrows)
 
     @classmethod
     def diag(cls, values):
         vals = [v if isinstance(v, GaussRat) else GaussRat(v) for v in values]
-        n = len(vals)
-        z = GaussRat(0)
-        return cls(tuple(tuple(vals[i] if i == j else z for j in range(n)) for i in range(n)))
+        return cls._sparse(len(vals), [((i, v),) if v else () for i, v in enumerate(vals)])
 
     @classmethod
     def from_cols(cls, cols):
@@ -382,10 +417,10 @@ class Mat:
         return Mat(tuple(zip(*self.rows)))
 
     def is_zero(self):
-        return all(not c for r in self.rows for c in r)
+        return not any(self._pattern())
 
     def is_diagonal(self):
-        return all(not c for i, r in enumerate(self.rows) for j, c in enumerate(r) if i != j)
+        return all(j == i for i, r in enumerate(self._pattern()) for j, _ in r)
 
     def __add__(self, other):
         if not isinstance(other, Mat):
@@ -407,18 +442,29 @@ class Mat:
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in multiplication")
-            zero = GaussRat(0)
+            right, ncols, rows = other._pattern(), other.ncols, other.rows
             out = []
-            for row in self.rows:
-                acc = [zero] * other.ncols
-                for k, a in enumerate(row):
-                    if not a:
-                        continue
-                    for j, b in enumerate(other.rows[k]):
-                        if b:
-                            acc[j] = acc[j] + a * b
-                out.append(acc)
-            return Mat(out)
+            for left in self._pattern():
+                if len(left) == 1:
+                    # one product per entry: nonzero, since Q(i) is a field
+                    (k, a), = left
+                    out.append(tuple((j, a * b) for j, b in right[k]))
+                    continue
+                acc, summed = [None] * ncols, set()
+                for k, a in left:
+                    # a full row's pairs are its enumeration, one indirection shorter
+                    pairs = right[k]
+                    for j, b in (enumerate(rows[k]) if len(pairs) == ncols else pairs):
+                        c = acc[j]
+                        if c is None:
+                            acc[j] = a * b
+                        else:
+                            acc[j] = c + a * b
+                            summed.add(j)
+                # only a summed entry can cancel to zero
+                out.append(tuple((j, c) for j, c in enumerate(acc)
+                                 if c is not None and (j not in summed or c.re or c.im)))
+            return Mat._sparse(ncols, out)
         o = _as_gauss(other)
         if o is None:
             return NotImplemented

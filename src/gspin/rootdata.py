@@ -555,9 +555,10 @@ def torus_clifford_element(c, a, b):
 
     A factor with a_i = b_i is the scalar a_i (e_i e_{n+i} + e_{n+i} e_i = 1)
     and is folded into c; any other is (a_i - b_i) e_i e_{n+i} + b_i by the
-    same relation.  The scalar and the other factors are small and fully
-    checked; their product composes the norm and pr_circ of the point from
-    theirs.
+    same relation, and the first of those also takes c.  Each such factor
+    is small and fully checked; their product composes the norm and
+    pr_circ of the point from theirs.  When every a_i = b_i the point is
+    the scalar c, checked alone.
     """
     a = [_coerce_scalar(x) for x in a]
     b = [_coerce_scalar(x) for x in b]
@@ -571,10 +572,13 @@ def torus_clifford_element(c, a, b):
     for ai, bi in zip(a, b):
         if ai == bi:
             c = c * ai
-    t = GPinElement(CliffordElement.scalar(space, c))
-    for i, (ai, bi) in enumerate(zip(a, b), 1):
-        if ai != bi:
-            t = t * GPinElement(CliffordElement(space, {(i, n + i): ai - bi, (): bi}))
+    factors = [CliffordElement(space, {(i, n + i): ai - bi, (): bi})
+               for i, (ai, bi) in enumerate(zip(a, b), 1) if ai != bi]
+    if not factors:
+        return GPinElement(CliffordElement.scalar(space, c))
+    t = GPinElement(c * factors[0])
+    for f in factors[1:]:
+        t = t * GPinElement(f)
     return t
 
 

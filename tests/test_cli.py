@@ -314,8 +314,8 @@ def test_malformed_element_json_exits_2(text, flag):
 
 
 def test_large_n_element_is_rejected_before_its_space_is_built():
-    # a space's generator table holds 2n masks of up to 2n bits, so an
-    # element with a huge n must be turned away before that table exists
+    # QuadSpace._interned keeps every space for the life of the process, so
+    # an element with a huge n must be turned away before its space is built
     for kind in ("even", "odd"):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):

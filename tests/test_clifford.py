@@ -531,7 +531,13 @@ def _assert_matches_full_check(x):
     assert x.parity == y.parity
     assert x.spinor_norm() == y.spinor_norm()
     assert x.pr_circ() == y.pr_circ()
+    # the pattern a composed matrix carries is the one its entries have
+    assert x.pr_circ()._nz == y.pr_circ()._nz == _pattern_of(y.pr_circ().rows)
     assert x.elt * x.inverse().elt == CliffordElement.one(x.space)
+
+
+def _pattern_of(rows):
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in rows)
 
 
 ORACLE_SPACES = ([even_space(n) for n in (3, 4, 5)] + [odd_space(n) for n in (3, 4, 5)]
@@ -623,8 +629,12 @@ def test_group_operations_derive_no_inverse(monkeypatch):
     assert cost(lambda: theta(g)) == (0, 0, 0)
     assert cost(lambda: g.inverse()) == (0, 0, 0)
     assert cost(lambda: GPinElement(g.elt)) == (0, 0, 1)
-    # a torus point checks its n + 1 small factors in full and composes the rest
-    assert cost(lambda: torus_point(s)) == (0, 0, 5)
+    # a torus point checks one small factor per coordinate s_i != 1 in full
+    # (the first takes s_0) and composes the rest; with every s_i = 1 it
+    # checks the scalar s_0 alone
+    assert cost(lambda: torus_point(s)) == (0, 0, 4)
+    assert cost(lambda: torus_point(TorusCoordinates((2, 1, 1, 1, 1)))) == (0, 0, 1)
+    assert cost(lambda: torus_point(TorusCoordinates((2, 3, 1, 1, 1)))) == (0, 0, 1)
 
 
 def test_gpin_inverse_and_power():

@@ -346,6 +346,119 @@ def test_mat_json_roundtrip():
     assert Mat.from_json(m.to_json()) == m
 
 
+def dense_product(x, y):
+    # oracle: the dense triple loop that Mat.__mul__ ran before it walked
+    # nonzero patterns
+    zero = GaussRat(0)
+    out = []
+    for row in x.rows:
+        acc = [zero] * y.ncols
+        for k, a in enumerate(row):
+            if not a:
+                continue
+            for j, b in enumerate(y.rows[k]):
+                if b:
+                    acc[j] = acc[j] + a * b
+        out.append(acc)
+    return Mat(out)
+
+
+def pattern_of(m):
+    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in m.rows)
+
+
+def assert_product_matches_dense(x, y):
+    p = x * y
+    assert p.rows == dense_product(x, y).rows
+    # the product carries its pattern; the operands computed theirs once
+    assert p._nz == pattern_of(p)
+    assert x._nz == pattern_of(x) and y._nz == pattern_of(y)
+    assert p.is_zero() == all(not c for r in p.rows for c in r)
+    assert p.is_diagonal() == all(not c for i, r in enumerate(p.rows)
+                                  for j, c in enumerate(r) if i != j)
+    return p
+
+
+# entries whose sums cancel often: +-1, +-i, 2 and two fractions
+PATTERN_ENTRIES = st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(2), GaussRat(0, 1),
+                                   GaussRat(0, -1), GaussRat(Fraction(1, 2)),
+                                   GaussRat(Fraction(-1, 2), 1)])
+DENSITIES = (0, 0.1, 0.5, 1)
+
+
+@st.composite
+def patterned_mat(draw, nrows, ncols, density):
+    cells = nrows * ncols
+    at = set(draw(st.permutations(range(cells)))[:round(density * cells)])
+    entries = iter(draw(st.lists(PATTERN_ENTRIES, min_size=len(at), max_size=len(at))))
+    zero = GaussRat(0)
+    return Mat([[next(entries) if i * ncols + j in at else zero for j in range(ncols)]
+                for i in range(nrows)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1, 1), (12, 12, 12), (1, 12, 12), (12, 12, 1),
+                                   (12, 1, 12)]),
+       st.sampled_from(DENSITIES), st.sampled_from(DENSITIES))
+def test_pattern_product_matches_dense_product(data, shape, left_density, right_density):
+    r, k, c = shape
+    x = data.draw(patterned_mat(r, k, left_density))
+    y = data.draw(patterned_mat(k, c, right_density))
+    p = assert_product_matches_dense(x, y)
+    # a product of products walks the patterns the products carried
+    assert_product_matches_dense(p, y.transpose())
+
+
+def _random_patterned(rng, n, density):
+    # real entries in +-1, +-2 keep the dense 64 x 64 oracle product cheap
+    zero = GaussRat(0)
+    return Mat([[GaussRat(rng.choice((-2, -1, 1, 2))) if rng.random() < density else zero
+                 for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_pattern_product_matches_dense_product_at_64(density):
+    rng = Random(64 + int(10 * density))
+    x, y = _random_patterned(rng, 64, density), _random_patterned(rng, 64, density)
+    assert_product_matches_dense(x, y)
+
+
+def test_monomial_products_at_64():
+    rng = Random(640)
+    perms = [rng.sample(range(64), 64) for _ in range(2)]
+    x, y = (Mat([[rand_gauss(rng, 3) or GaussRat(1) if j == perm[i] else GaussRat(0)
+                  for j in range(64)] for i in range(64)]) for perm in perms)
+    p = assert_product_matches_dense(x, y)
+    assert all(len(r) == 1 for r in p._nz)
+    assert assert_product_matches_dense(Mat.identity(64), p) == p
+
+
+@pytest.mark.parametrize("x, y, expected", [
+    ([[1, 1]], [[1], [-1]], [[0]]),
+    ([[SQRT_M1, 1]], [[SQRT_M1], [1]], [[0]]),
+    ([[1, 1], [0, 1]], [[1, 0], [-1, 1]], [[0, 1], [-1, 1]]),
+    ([[1, 1], [1, -1]], [[1, 1], [-1, 1]], [[0, 2], [2, 0]]),
+    ([[1] * 12] * 12, [[(-1) ** k] * 12 for k in range(12)], [[0] * 12] * 12),
+])
+def test_pattern_product_drops_cancelled_entries(x, y, expected):
+    p = assert_product_matches_dense(Mat(x), Mat(y))
+    assert p == Mat(expected)
+
+
+def test_pattern_constructors_carry_their_pattern():
+    one, two = GaussRat(1), GaussRat(2)
+    assert Mat.identity(3)._nz == ((((0, one),), ((1, one),), ((2, one),)))
+    assert Mat.diag([2, 0, 1])._nz == (((0, two),), (), ((2, one),))
+    assert Mat.zeros(2, 3)._nz == ((), ())
+    assert Mat.zeros(2, 3) == Mat([[0, 0, 0], [0, 0, 0]])
+    assert Mat.diag([2, 0, 1]) == Mat([[2, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert Mat.diag([2, 0, 1]).is_diagonal() and Mat.zeros(3).is_zero()
+    assert hash(Mat.identity(2)) == hash(Mat([[1, 0], [0, 1]]))
+    for bad in (lambda: Mat.identity(0), lambda: Mat.zeros(2, 0), lambda: Mat.diag([])):
+        with pytest.raises(ValueError):
+            bad()
+
+
 # ---------------------------------------------------------------- charpoly
 
 def test_charpoly_identity():
