@@ -12,8 +12,8 @@ is what the extension-criterion checker and the torsor construction at
 the bottom of the module exercise on finite generator tables.
 """
 
-from .clifford import CliffordElement, GPinElement, theta, theta_circ_matrix
-from .exact import Mat, _Value, inverse
+from .clifford import GPinElement, theta, theta_circ_matrix
+from .exact import Mat, _Value
 from .rootdata import TorusCoordinates, center, theta_on_coords, torus_point
 
 
@@ -190,37 +190,26 @@ def _theta_of(x):
     raise TypeError("expected a GPinElement or an even-size Mat")
 
 
-def _identity_like(x):
-    if isinstance(x, GPinElement):
-        return GPinElement(CliffordElement.one(x.space))
-    return Mat.identity(x.nrows)
-
-
-def _inverse_of(x):
-    if isinstance(x, GPinElement):
-        return x.inverse()
-    return inverse(x)
-
-
 def check_extension_criterion(rho_gens, g):
     """Whether g extends the generator table across the quadratic twist.
 
     ``rho_gens`` lists pairs (value at a generator, value at its Galois
     conjugate); g qualifies iff g * theta(g) = 1 and conjugation by g
-    composed with theta carries each value to its listed conjugate.
+    composed with theta carries each value to its listed conjugate.  The
+    conjugation is tested as g * theta(val) == twisted * g, an exact
+    equality that gives the same verdict as g * theta(val) * g^-1 ==
+    twisted because g is invertible once g * theta(g) = 1 holds, and it
+    needs no inverse.  A value that cannot multiply g (another space, or
+    another number of columns) raises ValueError.
     """
     if not isinstance(g, (GPinElement, Mat)):
         raise TypeError("the candidate must be a GPinElement or a Mat")
     for val, twisted in rho_gens:
         if type(val) is not type(g) or type(twisted) is not type(g):
             raise TypeError("generator values must match the candidate's type")
-    if g * _theta_of(g) != _identity_like(g):
+    if g * _theta_of(g) != g ** 0:
         return False
-    g_inv = _inverse_of(g)
-    for val, twisted in rho_gens:
-        if g * _theta_of(val) * g_inv != twisted:
-            return False
-    return True
+    return all(g * _theta_of(val) == twisted * g for val, twisted in rho_gens)
 
 
 def _central_element_like(g, coords):

@@ -29,10 +29,8 @@ of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .clifford import (
-    CliffordElement, GPinElement, _mask, _mono, beta, even_space, odd_space, theta_element,
+    CliffordElement, GPinElement, _mask, _mono, even_space, odd_space, theta_element,
 )
 from .exact import GaussRat, Mat, _Value
 from .rootdata import _eps_value, parity_subsets
@@ -255,23 +253,24 @@ def psi_matrix(n):
     return Mat.from_cols(cols)
 
 
-@lru_cache(maxsize=None)
 def pairing_gram(n):
     """Gram matrix of the invariant pairing on the full Fock basis.
 
     ((w1, w2)) is the coefficient of the top monomial e_1...e_n in
-    beta(w1) * w2, computed inside C(V); on W-only monomials the Clifford
-    product coincides with the wedge product.
+    beta(w1) * w2.  On W-only monomials the Clifford product is the wedge
+    product, so ((m_U, m_V)) vanishes unless V is the complement U^c, and
+    beta(m_U) = (-1)^{k(k-1)/2} m_U for k = #U (reversing k anticommuting
+    generators).  Row U therefore has one entry, at U^c: that sign times
+    the shuffle sign of (U, U^c).  The shuffle sign counts, for each j in
+    U, the j - 1 - #(U below j) indices of U^c below it, so the product
+    of the two signs is (-1)^{sum of (j - 1) over j in U}.  This is the
+    definition evaluated exactly, one bit count per row.
     """
-    space = even_space(n)
-    basis = spin_basis(space, "full")
-    top = tuple(range(1, n + 1))
-    rows = []
-    for u in basis:
-        bu = beta(CliffordElement.monomial(space, u))
-        row = []
-        for v in basis:
-            mv = CliffordElement.monomial(space, v)
-            row.append((bu * mv).coefficient(top))
-        rows.append(row)
-    return Mat(rows)
+    basis = [_mask(u) for u in spin_basis(even_space(n), "full")]
+    col = {m: j for j, m in enumerate(basis)}
+    full = (1 << n) - 1
+    signs = (GaussRat(1), GaussRat(-1))
+    # sum of (j - 1) over j in U has the parity of the set bits at odd positions
+    odd = int("10" * n, 2) & full
+    return Mat._sparse(len(basis), [((col[full ^ m], signs[(m & odd).bit_count() & 1]),)
+                                    for m in basis])

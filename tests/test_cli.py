@@ -114,6 +114,19 @@ def test_seed_7_report_is_pinned():
     )
 
 
+def test_extension_and_pairing_report_at_n6_is_pinned():
+    # The extension-criterion, torsor and pairing suites at n = 6 for seed
+    # 0, the only tier-1 pin that reaches these suites beyond n = 3.
+    rc, out = run_cli(["verify", "--suites",
+                       "lem:extend,lem:uniquely-extend,ex:SO2n-extend,ex:GSpin2n-extend,"
+                       "lem:spin-inv-pairing,lem:Duality-Eq1",
+                       "--n", "6", "--seed", "0", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "db90c4b530fa92be45a606b79f3a3034aabb21092e9c8147fd5903fee4fdce20"
+    )
+
+
 def test_list_is_pinned():
     # Keys, descriptions and order of the registry as `verify --list` prints
     # them; the report's "suites" list follows the same order.

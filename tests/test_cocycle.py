@@ -1,10 +1,20 @@
 """Tests for cocycle enumeration, H^1 structure, and the extension criterion."""
 
 import random
+from types import ModuleType
 
 import pytest
 
-from gspin.clifford import GPinElement, even_space, random_gspin, theta, theta_circ_matrix
+import gspin
+from gspin import exact
+from gspin.clifford import (
+    CliffordElement,
+    GPinElement,
+    even_space,
+    random_gspin,
+    theta,
+    theta_circ_matrix,
+)
 from gspin.cocycle import (
     InvolutionModule,
     check_extension_criterion,
@@ -13,7 +23,7 @@ from gspin.cocycle import (
     norm_map_image,
     z1_b1_h1,
 )
-from gspin.exact import GaussRat, Mat
+from gspin.exact import GaussRat, Mat, inverse
 from gspin.rootdata import (
     TorusCoordinates,
     scalar_in_coords,
@@ -280,3 +290,148 @@ def test_extension_classes_trivial_module():
     rho = [(g0, g0)]
     classes = extension_classes(rho, g0, module=involution_module("trivial", n))
     assert classes == [g0]
+
+
+# ---------------------------------------------------------------------------
+# the criterion against the conjugation route
+
+
+def _conjugation_oracle(rho_gens, g):
+    """The criterion as g * theta(g) = 1 and g * theta(val) * g^-1 = twisted,
+    through an explicit inverse (the conjugation route)."""
+    if isinstance(g, GPinElement):
+        th, one, inv = theta, GPinElement(CliffordElement.one(g.space)), GPinElement.inverse
+    else:
+        t = theta_circ_matrix(g.nrows // 2)
+        th, one, inv = (lambda x: t * x * t), Mat.identity(g.nrows), inverse
+    if g * th(g) != one:
+        return False
+    g_inv = inv(g)
+    return all(g * th(val) * g_inv == twisted for val, twisted in rho_gens)
+
+
+def _verdict(rho_gens, g):
+    """The criterion's verdict, asserted equal to the conjugation route's."""
+    got = check_extension_criterion(rho_gens, g)
+    assert got is _conjugation_oracle(rho_gens, g)
+    return got
+
+
+def _gspin_cases(n, seed):
+    """A matched table at a non-central candidate g0 = h * theta(h)^-1, with
+    the candidates and tables the criterion must accept or reject."""
+    rng = random.Random(seed)
+    h = random_gspin(even_space(n), rng, span=2)
+    g0 = h * theta(h).inverse()
+    vals = [torus_point(TorusCoordinates((2, 3) + (1,) * (n - 1))),
+            random_gspin(even_space(n), rng, span=2)]
+    g0_inv = g0.inverse()
+    rho = [(v, g0 * theta(v) * g0_inv) for v in vals]
+    scale = torus_point(scalar_in_coords(n, GaussRat(2)))
+    tampered = [(v, tw * scale) for v, tw in rho]
+    swapped = [(rho[0][0], rho[1][1]), rho[1]]
+    return [
+        (rho, g0, True),
+        (rho, torus_point(zeta_coords(n)) * g0, True),
+        (rho, torus_point(scalar_in_coords(n, GaussRat(-1))) * g0, True),
+        (rho, torus_point(z_eps(n, 1)) * g0, False),
+        (tampered, g0, False),
+        (swapped, g0, False),
+        ([], g0, True),
+    ]
+
+
+@pytest.mark.parametrize("n,seed", [(3, 40), (3, 41), (4, 42)])
+def test_criterion_matches_conjugation_route_on_gspin_tables(n, seed):
+    for rho, g, want in _gspin_cases(n, seed):
+        assert _verdict(rho, g) is want
+
+
+def _so_cases(n, seed):
+    rng = random.Random(seed)
+    th = theta_circ_matrix(n)
+    vals = [torus_point(TorusCoordinates((1, 2, 3) + (5,) * (n - 2))).pr_circ(),
+            random_gspin(even_space(n), rng, span=2).pr_circ()]
+    rho = [(v, th * v * th) for v in vals]
+    eye = Mat.identity(2 * n)
+    singular = Mat.diag([1] * (2 * n - 1) + [0])
+    return [
+        (rho, eye, True),
+        (rho, eye * GaussRat(-1), True),
+        (rho, eye * GaussRat(2), False),
+        (rho, singular, False),
+        ([(v, tw * GaussRat(2)) for v, tw in rho], eye, False),
+        ([(rho[0][0], rho[1][1])], eye, False),
+    ]
+
+
+@pytest.mark.parametrize("n,seed", [(3, 43), (4, 44)])
+def test_criterion_matches_conjugation_route_on_so_tables(n, seed):
+    for rho, g, want in _so_cases(n, seed):
+        assert _verdict(rho, g) is want
+
+
+def test_criterion_matches_conjugation_route_on_the_trivial_module():
+    n = 3
+    g0 = torus_point(TorusCoordinates.identity(n))
+    rho = [(g0, g0)]
+    assert _verdict(rho, g0) is True
+    for cand in extension_classes(rho, g0, module=involution_module("trivial", n)):
+        assert _verdict(rho, cand) is True
+
+
+def test_criterion_rejects_values_that_cannot_multiply_the_candidate():
+    n = 3
+    g0 = torus_point(TorusCoordinates.identity(n))
+    other = torus_point(TorusCoordinates.identity(n + 1))
+    with pytest.raises(ValueError):
+        check_extension_criterion([(other, g0)], g0)
+    with pytest.raises(ValueError):
+        check_extension_criterion([(g0, other)], g0)
+    eye = Mat.identity(2 * n)
+    with pytest.raises(ValueError):
+        check_extension_criterion([(Mat.identity(2 * n + 2), eye)], eye)
+    with pytest.raises(ValueError):
+        check_extension_criterion([(eye, Mat.identity(2 * n + 2))], eye)
+
+
+def _count_calls(monkeypatch):
+    """Count GPinElement.inverse, GPinElement.__init__ and exact.inverse,
+    under every name a gspin module binds the last one to."""
+    counts = {"inverse": 0, "__init__": 0, "exact.inverse": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GPinElement, "inverse", counted("inverse", GPinElement.inverse))
+    monkeypatch.setattr(GPinElement, "__init__", counted("__init__", GPinElement.__init__))
+    wrapped = counted("exact.inverse", exact.inverse)
+    for module in [gspin, *(m for m in vars(gspin).values() if isinstance(m, ModuleType))]:
+        if getattr(module, "inverse", None) is exact.inverse:
+            monkeypatch.setattr(module, "inverse", wrapped)
+    return counts
+
+
+def test_criterion_builds_no_inverse_and_checks_no_membership(monkeypatch):
+    gspin_cases = _gspin_cases(3, 45) + _gspin_cases(4, 46)
+    so_cases = _so_cases(3, 47)
+    rho_g, g0, _ = gspin_cases[0]
+    rho_m, eye, _ = so_cases[0]
+    reps = z1_b1_h1(involution_module("gspin", 3)).h1_reps
+    twists = [torus_point(z) for z in reps]
+    counts = _count_calls(monkeypatch)
+    for rho, g, want in gspin_cases + so_cases:
+        assert check_extension_criterion(rho, g) is want
+    assert len(extension_classes(rho_m, eye)) == 2
+    assert counts == {"inverse": 0, "__init__": 0, "exact.inverse": 0}
+    # on GPin tables the only constructions are the central twists that
+    # torus_point builds from the H^1 representatives
+    assert extension_classes(rho_g, g0) == [z * g0 for z in twists]
+    built = counts["__init__"]
+    counts["__init__"] = 0
+    for z in reps:
+        torus_point(z)
+    assert counts == {"inverse": 0, "__init__": built, "exact.inverse": 0}

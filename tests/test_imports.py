@@ -123,14 +123,14 @@ def test_all_matches_package_imports():
     assert all(hasattr(gspin, name) for name in gspin.__all__)
 
 
-def test_memo_caches_are_the_two_that_save_real_work():
-    """The module-level caches of gspin: the standard split and the pairing
-    Gram matrix.  Anything cheaper to rebuild than to look up does not get
-    one; the Clifford product computes e_S e_g in closed form and keeps no
-    memo."""
+def test_memo_caches_are_only_those_that_save_real_work():
+    """The module-level caches of gspin: the standard split alone.  Anything
+    cheaper to rebuild than to look up does not get one; the Clifford
+    product computes e_S e_g in closed form and the pairing Gram matrix
+    is one signed complement per row, so neither keeps a memo."""
     found = set()
     for module in [gspin] + [importlib.import_module(f"gspin.{p.stem}") for p in MODULES]:
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
                 found.add(f"{obj.__module__}.{obj.__qualname__}")
-    assert found == {"gspin.clifford.std_split", "gspin.spinrep.pairing_gram"}
+    assert found == {"gspin.clifford.std_split"}

@@ -753,25 +753,20 @@ def test_restriction_minus_block_matches_plus(n):
 
 
 def _pairing_oracle(n):
-    """Complement-pairing formula: only U against its complement survives,
-    with the reversal sign on U (valid because the e_i are orthogonal)
-    times the shuffle sign of (U, complement)."""
-    basis = spin_basis(even_space(n), "full")
-    size = 2**n
-    rows = [[GaussRat(0)] * size for _ in range(size)]
-    full = set(range(1, n + 1))
-    for i, u in enumerate(basis):
-        comp = tuple(sorted(full - set(u)))
-        j = basis.index(comp)
-        r = len(u)
-        rev = -1 if (r * (r - 1) // 2) % 2 else 1
-        inversions = sum(1 for a in u for b in comp if a > b)
-        shuffle = -1 if inversions % 2 else 1
-        rows[i][j] = GaussRat(rev * shuffle)
+    """The pairing's definition inside C(V): ((m_U, m_V)) is the coefficient
+    of the top monomial e_1...e_n in beta(m_U) * m_V, one Clifford product
+    per pair of basis monomials."""
+    space = even_space(n)
+    basis = spin_basis(space, "full")
+    top = tuple(range(1, n + 1))
+    rows = []
+    for u in basis:
+        bu = beta(CliffordElement.monomial(space, u))
+        rows.append([(bu * CliffordElement.monomial(space, v)).coefficient(top) for v in basis])
     return Mat(rows)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pairing_gram_matches_oracle(n):
     assert pairing_gram(n) == _pairing_oracle(n)
 
