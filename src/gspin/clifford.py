@@ -327,14 +327,6 @@ class CliffordElement:
     def is_zero(self):
         return not self.terms
 
-    def is_scalar(self):
-        return all(m == () for m in self.terms)
-
-    def scalar_value(self):
-        if not self.is_scalar():
-            raise ValueError("element is not a scalar")
-        return self.terms.get((), GaussRat(0))
-
     def as_vector(self):
         """Coordinates if the element is a pure vector, else None."""
         if not all(len(m) == 1 for m in self.terms):
@@ -528,7 +520,7 @@ class GPinElement:
         nz = [[] for _ in range(d)]
         for (i, j), c in zip(at, _over(nn, cr, ci)):
             nz[i].append((j, c))
-        self._pr_circ = Mat._sparse(d, list(map(tuple, nz)))
+        self._pr_circ = Mat._sparse(d, nz)
         self._spin = None
 
     @classmethod
@@ -553,30 +545,22 @@ class GPinElement:
         M = pr_circ(x) and the Gram matrix G), so pr_circ(x^{-1}) = G^{-1} M^T G.
         G pairs basis vector i with one partner p(i) (itself on a line and
         on the odd space's last vector, where <f, f> = 2), so that product
-        is the index map (i, j) -> M[p(j), p(i)], with the last row halved
-        and the last column doubled on the odd space."""
+        is M^T with both indices relabelled by p (`Mat._relabel`), conjugated
+        by diag(1, ..., 1, 2) on the odd space."""
         space = self.space
         d, h = space.dim, space.dim // 2
         p = [i + h if i < h else i - h if i < 2 * h else i for i in range(d)]
-        out = [[] for _ in range(d)]
-        for r, row in enumerate(self._pr_circ._pattern()):
-            for k, c in row:
-                out[p[k]].append((p[r], c))
-        out = [sorted(row) for row in out]
+        circ = self._pr_circ.transpose()._relabel(p)
         if space.kind == "odd":
-            last = d - 1
-            out[last] = [(j, c if j == last else c / 2) for j, c in out[last]]
-            for row in out[:last]:
-                if row and row[-1][0] == last:
-                    row[-1] = (last, row[-1][1] * 2)
+            ones = [1] * (d - 1)
+            circ = Mat.diag(ones + [GaussRat(1) / 2]) * circ * Mat.diag(ones + [2])
         # beta(x)/N in one pass: with N = (a + b i)/dN, 1/N = dN (a - b i)/(a^2 + b^2)
         den, re, im = _term_numerators(self.elt)
         dn, (a,), (b,) = _numerators([self._norm])
         inv = _from_numerators(space, ((m, (r * a + s * b) * dn, (s * a - r * b) * dn)
                                        for m, r, s in _beta_terms(space, self.elt.terms, re, im)),
                                den * (a * a + b * b))
-        return GPinElement._composed(inv, self.parity, 1 / self._norm,
-                                     Mat._sparse(d, list(map(tuple, out))))
+        return GPinElement._composed(inv, self.parity, 1 / self._norm, circ)
 
     def __mul__(self, other):
         if not isinstance(other, GPinElement):
@@ -621,8 +605,7 @@ def theta_circ_matrix(n):
     V as v -> (<v,w>/Q(w)) w - v, the negated reflection in w.
     """
     swap = {n - 1: 2 * n - 1, 2 * n - 1: n - 1}
-    return Mat([[GaussRat(-1 if j == swap.get(i, i) else 0) for j in range(2 * n)]
-                for i in range(2 * n)])
+    return Mat._sparse(2 * n, [((swap.get(i, i), GaussRat(-1)),) for i in range(2 * n)])
 
 
 def theta(g):
@@ -635,9 +618,7 @@ def theta(g):
     n = g.space.n
     p = list(range(2 * n))
     p[n - 1], p[2 * n - 1] = 2 * n - 1, n - 1
-    nz = g._pr_circ._pattern()
-    t = Mat._sparse(2 * n, [tuple(sorted((p[j], c) for j, c in nz[i])) for i in p])
-    return GPinElement._composed(th * g.elt * th, g.parity, g._norm, t)
+    return GPinElement._composed(th * g.elt * th, g.parity, g._norm, g._pr_circ._relabel(p))
 
 
 class OrthogonalSplit:

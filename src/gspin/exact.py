@@ -1,9 +1,9 @@
-"""Exact scalar and dense linear algebra over the Gaussian rationals.
+"""Exact scalar and matrix algebra over the Gaussian rationals.
 
 Scalars are ``GaussRat`` values: pairs of ``fractions.Fraction`` real and
 imaginary parts, so every number of the form a/b + (c/d)*i is represented
-exactly.  Matrices are immutable and dense, and carry their nonzero pattern
-for products and zero tests (`Mat`); all algorithms here
+exactly.  Matrices (`Mat`) are immutable and store only their nonzero
+pattern; dense rows are built on demand.  All algorithms here
 (characteristic polynomial, rank, inversion, Jordan partitions, nilpotent
 exponentials) are pivot-exact.  Nothing in this module touches floating
 point.
@@ -327,20 +327,20 @@ class Poly:
 
 
 class Mat:
-    """Immutable dense matrix over Q(i), stored as a tuple of row tuples.
+    """Immutable matrix over Q(i), stored as its nonzero pattern.
 
-    ``rows`` is the dense form that ``==``, ``hash`` and the JSON form read.
-    The private ``_nz`` is the nonzero pattern: for each row, the
+    The private ``_nz`` is the only stored form: for each row, the
     ``(column, entry)`` pairs of its nonzero entries in increasing column
-    order, the same entry objects as in ``rows``.  A kernel that knows the
-    pattern of its output passes it in (`_sparse`); any other matrix
-    computes it once, the first time a product, `is_zero` or `is_diagonal`
-    needs it (`_pattern`).  Products walk patterns only, so a zero entry is
-    never multiplied and an entry that is a single product of nonzero
-    entries is never tested for zero.
+    order.  Every pattern lists exactly the nonzero entries, so ``==`` and
+    ``hash`` read the shape and the pattern.  A kernel that knows the
+    pattern of its output passes it in (`_sparse`); dense input goes
+    through the constructor, which checks it.  Arithmetic walks patterns
+    only, so a zero entry is never multiplied and an entry that is a
+    single product of nonzero entries is never tested for zero.  The dense
+    ``rows`` are built on demand.
     """
 
-    __slots__ = ("nrows", "ncols", "rows", "_nz")
+    __slots__ = ("nrows", "ncols", "_nz")
 
     def __init__(self, rows):
         body = tuple(tuple(c if isinstance(c, GaussRat) else GaussRat(c) for c in r)
@@ -349,44 +349,35 @@ class Mat:
             raise ValueError("matrix needs at least one row and one column")
         if len({len(r) for r in body}) != 1:
             raise ValueError("ragged rows")
-        self.rows = body
         self.nrows = len(body)
         self.ncols = len(body[0])
-        self._nz = None
-
-    @classmethod
-    def _raw(cls, rows):
-        """A matrix from kernel output: a nonempty tuple of equal-length, nonempty
-        tuples of GaussRat entries, taken unchecked."""
-        self = object.__new__(cls)
-        self.rows, self.nrows, self.ncols, self._nz = rows, len(rows), len(rows[0]), None
-        return self
+        # c.re or c.im: the zero test of GaussRat.__bool__, one call shorter
+        self._nz = tuple(tuple((j, c) for j, c in enumerate(r) if c.re or c.im) for r in body)
 
     @classmethod
     def _sparse(cls, ncols, nz):
         """A matrix from its nonzero pattern: nz[i] lists the (column, entry)
         pairs of row i's nonzero GaussRat entries in increasing column order,
-        taken unchecked; every other entry is zero."""
+        taken unchecked and kept as tuples; every other entry is zero."""
         if not nz or ncols < 1:
             raise ValueError("matrix needs at least one row and one column")
-        zero = GaussRat(0)
-        rows = []
-        for pairs in nz:
-            row = [zero] * ncols
-            for j, c in pairs:
-                row[j] = c
-            rows.append(tuple(row))
-        self = cls._raw(tuple(rows))
-        self._nz = tuple(nz)
+        self = object.__new__(cls)
+        self.nrows, self.ncols, self._nz = len(nz), ncols, tuple(map(tuple, nz))
         return self
 
-    def _pattern(self):
-        """The nonzero pattern ``_nz``, computed from ``rows`` on first use."""
-        if self._nz is None:
-            # c.re or c.im: the zero test of GaussRat.__bool__, one call shorter
-            self._nz = tuple(tuple((j, c) for j, c in enumerate(r) if c.re or c.im)
-                             for r in self.rows)
-        return self._nz
+    def _dense(self):
+        """The entries as a fresh list of row lists, zeros filled in."""
+        zero = GaussRat(0)
+        out = [[zero] * self.ncols for _ in range(self.nrows)]
+        for row, pairs in zip(out, self._nz):
+            for j, c in pairs:
+                row[j] = c
+        return out
+
+    @property
+    def rows(self):
+        """The entries as a tuple of row tuples, built on each read."""
+        return tuple(map(tuple, self._dense()))
 
     @classmethod
     def identity(cls, n):
@@ -411,24 +402,55 @@ class Mat:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        # range(...)[j]: Python's index rules, negative indices included
+        return dict(self._nz[i]).get(range(self.ncols)[j], GaussRat(0))
 
     def transpose(self):
-        return Mat(tuple(zip(*self.rows)))
+        cols = [[] for _ in range(self.ncols)]
+        for i, pairs in enumerate(self._nz):
+            for j, c in pairs:
+                cols[j].append((i, c))
+        return Mat._sparse(self.nrows, cols)
+
+    def block(self, rows, cols):
+        """The submatrix on the given rows and columns, each an increasing
+        sequence of indices."""
+        at = {j: k for k, j in enumerate(cols)}
+        return Mat._sparse(len(at), [tuple((at[j], c) for j, c in self._nz[i] if j in at)
+                                     for i in rows])
+
+    def _relabel(self, p):
+        """The square matrix whose entry (p[i], p[j]) is entry (i, j) of this
+        one, for a permutation p of its indices: P M P^{-1} for the
+        permutation matrix P of p."""
+        nz = [()] * self.nrows
+        for i, pairs in enumerate(self._nz):
+            nz[p[i]] = tuple(sorted((p[j], c) for j, c in pairs))
+        return Mat._sparse(self.ncols, nz)
 
     def is_zero(self):
-        return not any(self._pattern())
+        return not any(self._nz)
 
     def is_diagonal(self):
-        return all(j == i for i, r in enumerate(self._pattern()) for j, _ in r)
+        return all(j == i for i, r in enumerate(self._nz) for j, _ in r)
 
     def __add__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch in addition")
-        return Mat(tuple(tuple(a + b for a, b in zip(r, s))
-                         for r, s in zip(self.rows, other.rows)))
+        out = []
+        for left, right in zip(self._nz, other._nz):
+            if not left or not right:
+                out.append(left or right)
+                continue
+            acc = dict(left)
+            for j, b in right:
+                a = acc.get(j)
+                acc[j] = b if a is None else a + b
+            # a summed entry may cancel to zero
+            out.append(tuple((j, c) for j, c in sorted(acc.items()) if c.re or c.im))
+        return Mat._sparse(self.ncols, out)
 
     def __sub__(self, other):
         if not isinstance(other, Mat):
@@ -436,15 +458,15 @@ class Mat:
         return self + (-other)
 
     def __neg__(self):
-        return Mat(tuple(tuple(-c for c in r) for r in self.rows))
+        return Mat._sparse(self.ncols, [tuple((j, -c) for j, c in r) for r in self._nz])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in multiplication")
-            right, ncols, rows = other._pattern(), other.ncols, other.rows
+            right, ncols = other._nz, other.ncols
             out = []
-            for left in self._pattern():
+            for left in self._nz:
                 if len(left) == 1:
                     # one product per entry: nonzero, since Q(i) is a field
                     (k, a), = left
@@ -452,9 +474,7 @@ class Mat:
                     continue
                 acc, summed = [None] * ncols, set()
                 for k, a in left:
-                    # a full row's pairs are its enumeration, one indirection shorter
-                    pairs = right[k]
-                    for j, b in (enumerate(rows[k]) if len(pairs) == ncols else pairs):
+                    for j, b in right[k]:
                         c = acc[j]
                         if c is None:
                             acc[j] = a * b
@@ -468,7 +488,9 @@ class Mat:
         o = _as_gauss(other)
         if o is None:
             return NotImplemented
-        return Mat(tuple(tuple(c * o for c in r) for r in self.rows))
+        if not o:
+            return Mat.zeros(self.nrows, self.ncols)
+        return Mat._sparse(self.ncols, [tuple((j, c * o) for j, c in r) for r in self._nz])
 
     def __rmul__(self, other):
         o = _as_gauss(other)
@@ -490,20 +512,23 @@ class Mat:
             k >>= 1
         return out
 
+    def _key(self):
+        return self.nrows, self.ncols, self._nz
+
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.rows == other.rows
+        return self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self._key())
 
     def __repr__(self):
-        body = "; ".join(", ".join(str(c) for c in r) for r in self.rows)
+        body = "; ".join(", ".join(str(c) for c in r) for r in self._dense())
         return f"Mat[{body}]"
 
     def to_json(self):
-        return [[str(c) for c in r] for r in self.rows]
+        return [[str(c) for c in r] for r in self._dense()]
 
     @classmethod
     def from_json(cls, data):
@@ -530,7 +555,7 @@ def charpoly(m):
     if not m.is_square:
         raise ValueError("charpoly of a non-square matrix")
     n = m.nrows
-    H = [list(row) for row in m.rows]
+    H = m._dense()
     for k in range(n - 2):
         piv = None
         for r in range(k + 1, n):
@@ -635,7 +660,7 @@ def _reduce(rows, ncols):
 
 def rank(m):
     """Row rank over Q(i): the number of pivots of the reduced matrix."""
-    return len(_reduce([list(row) for row in m.rows], m.ncols))
+    return len(_reduce(m._dense(), m.ncols))
 
 
 def inverse(m):
@@ -646,8 +671,8 @@ def inverse(m):
     if not m.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = m.nrows
-    aug = [list(row) + [GaussRat(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.rows)]
+    aug = [row + [GaussRat(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m._dense())]
     if len(_reduce(aug, n)) < n:
         raise ValueError("matrix is singular")
     return Mat([row[n:] for row in aug])

@@ -126,22 +126,22 @@ def _action_matrix(c, src, dst):
 
     src and dst are sequences of module basis subsets; column k is the
     image of src[k] in dst coordinates, one `_column` walk per column.
+    Walking the columns in order appends each row's entries in increasing
+    column order, so the walk writes the nonzero pattern directly.
     Raises ValueError if an image has a nonzero component outside dst.
     """
     w, terms = _walk_data(c)
     index = {_mask(u): k for k, u in enumerate(dst)}
-    zero = GaussRat(0)
-    cols = []
-    for u in src:
-        col = [zero] * len(dst)
+    nz = [[] for _ in dst]
+    for j, u in enumerate(src):
         for m, x in _column(w, terms, _mask(u)).items():
+            if not x:
+                continue
             k = index.get(m)
-            if k is not None:
-                col[k] = x
-            elif x:
+            if k is None:
                 raise ValueError("the module action leaves the target basis")
-        cols.append(col)
-    return Mat._raw(tuple(zip(*cols)))
+            nz[k].append((j, x))
+    return Mat._sparse(len(src), nz)
 
 
 class SpinMatrix(_Value):
@@ -217,10 +217,10 @@ def half_spin_matrix(x, eps):
     if x.parity != 0:
         raise ValueError("odd-parity element has no half-spin matrix")
     label = _eps_label(eps)
-    rows = spin_matrix(x).mat.rows
-    half = len(rows) // 2
-    block = slice(0, half) if label == "+" else slice(half, None)
-    return SpinMatrix(label, Mat._raw(tuple(r[block] for r in rows[block])))
+    full = spin_matrix(x).mat
+    half = full.nrows // 2
+    block = range(half) if label == "+" else range(half, 2 * half)
+    return SpinMatrix(label, full.block(block, block))
 
 
 def theta_intertwiner(n):
@@ -243,14 +243,11 @@ def psi_matrix(n):
         raise ValueError("psi_matrix needs n >= 2")
     offsets = {u: k for k, u in enumerate(spin_basis(even_space(n), "+"))}
     src = spin_basis(odd_space(n), "full")
-    size = len(src)
-    cols = []
-    for s in src:
-        target = s if len(s) % 2 == 0 else s + (n,)
-        col = [GaussRat(0)] * size
-        col[offsets[target]] = GaussRat(1)
-        cols.append(col)
-    return Mat.from_cols(cols)
+    one = GaussRat(1)
+    nz = [[] for _ in src]
+    for j, s in enumerate(src):
+        nz[offsets[s if len(s) % 2 == 0 else s + (n,)]].append((j, one))
+    return Mat._sparse(len(src), nz)
 
 
 def pairing_gram(n):

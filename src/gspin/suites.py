@@ -219,14 +219,6 @@ def _rand_dominant(n, rng):
 # ---------------------------------------------------------------------------
 # small matrix utilities
 
-def _block(m, rows, cols):
-    return Mat([[m.rows[i][j] for j in cols] for i in rows])
-
-
-def _is_zero_block(m, rows, cols):
-    return all(not m.rows[i][j] for i in rows for j in cols)
-
-
 def _det(m):
     d = charpoly(m)(_ZERO)
     return d if m.nrows % 2 == 0 else -d
@@ -242,10 +234,10 @@ def _twisted(g):
 def _sim_factor(m, gram):
     """c with m^T gram m = c * gram, or None if no such scalar exists."""
     lhs = m.transpose() * gram * m
-    for i in range(gram.nrows):
-        for j in range(gram.ncols):
-            if gram.rows[i][j]:
-                c = lhs.rows[i][j] / gram.rows[i][j]
+    for i, row in enumerate(gram.rows):
+        for j, g in enumerate(row):
+            if g:
+                c = lhs[i, j] / g
                 return c if lhs == gram * c else None
     return None
 
@@ -410,14 +402,14 @@ def _suite_block_embedding(n, trials, rng, chk):
         g = _rand_gspin_odd(n, rng)
         m = p_inv * i_std(g).pr_circ() * p
         chk.ok(
-            _block(m, range(d - 1), range(d - 1)) == g.pr_circ(),
+            m.block(range(d - 1), range(d - 1)) == g.pr_circ(),
             "upper block is the odd-space action",
             g=g,
         )
-        chk.ok(m.rows[d - 1][d - 1] == _ONE, "complement line is fixed", g=g)
+        chk.ok(m[d - 1, d - 1] == _ONE, "complement line is fixed", g=g)
         chk.ok(
-            _is_zero_block(m, range(d - 1), [d - 1])
-            and _is_zero_block(m, [d - 1], range(d - 1)),
+            m.block(range(d - 1), [d - 1]).is_zero()
+            and m.block([d - 1], range(d - 1)).is_zero(),
             "off-diagonal blocks vanish",
             g=g,
         )
@@ -467,13 +459,13 @@ def _suite_theta_spin_matrix(n, trials, rng, chk):
     chk.ok(s * s == Mat.identity(2 ** n), "squares to the identity")
     top, bot = range(half), range(half, 2 * half)
     chk.ok(
-        _is_zero_block(s, top, top) and _is_zero_block(s, bot, bot),
+        s.block(top, top).is_zero() and s.block(bot, bot).is_zero(),
         "block antidiagonal",
     )
     t = theta_intertwiner(n)
     chk.ok(t == Mat.identity(half) * SQRT_M1, "intertwiner is sqrt(-1) times identity")
-    chk.ok(_block(s, bot, top) == t, "lower block is the intertwiner")
-    chk.ok(_block(s, top, bot) * t == Mat.identity(half), "blocks are mutually inverse")
+    chk.ok(s.block(bot, top) == t, "lower block is the intertwiner")
+    chk.ok(s.block(top, bot) * t == Mat.identity(half), "blocks are mutually inverse")
 
 
 @_suite("lem:conjugation-by-w", "odd element centralizes the embedded group and induces the twist")
@@ -583,7 +575,7 @@ def _suite_elem_w(n, trials, rng, chk):
                 src = d - 1
             elif j == d - 1:
                 src = n - 1
-            rows[j][j] = diag.rows[src][src]
+            rows[j][j] = diag[src, src]
         chk.ok(got == Mat(rows), "torus conjugation swaps the middle entries", s=s)
 
 
@@ -728,7 +720,7 @@ def _suite_torus_weights(n, trials, rng, chk):
         for eps in (1, -1):
             m = half_spin_matrix(t, eps).mat
             chk.ok(m.is_diagonal(), "torus acts diagonally", s=s, eps=eps)
-            diag = Counter(m.rows[i][i] for i in range(m.nrows))
+            diag = Counter(m[i, i] for i in range(m.nrows))
             via_weights = Counter(w.evaluate(s) for w in spin_weights(n, eps))
             via_subsets = Counter()
             for u in parity_subsets(n, eps):
@@ -753,7 +745,7 @@ def _suite_half_spin_blocks(n, trials, rng, chk):
         g = _rand_gspin(n, rng)
         s = spin_matrix(g).mat
         chk.ok(
-            _is_zero_block(s, top, bot) and _is_zero_block(s, bot, top),
+            s.block(top, bot).is_zero() and s.block(bot, top).is_zero(),
             "even elements are block diagonal",
             g=g,
         )
@@ -766,7 +758,7 @@ def _suite_half_spin_blocks(n, trials, rng, chk):
     x = _rand_odd_parity(n, rng)
     s = spin_matrix(x).mat
     chk.ok(
-        _is_zero_block(s, top, top) and _is_zero_block(s, bot, bot),
+        s.block(top, top).is_zero() and s.block(bot, bot).is_zero(),
         "odd elements are block antidiagonal",
         x=x,
     )
@@ -959,7 +951,7 @@ def _suite_pairing_symmetry(n, trials, rng, chk):
     )
     chk.ok(rank(j) == dim, "nondegenerate")
     for name, block_range in (("plus", range(half)), ("minus", range(half, dim))):
-        restriction = _block(j, block_range, block_range)
+        restriction = j.block(block_range, block_range)
         if n % 2:
             chk.ok(restriction.is_zero(), f"{name} restriction vanishes for odd n")
         else:
@@ -1131,7 +1123,7 @@ def _suite_regular_unipotent(n, trials, rng, chk):
     m = inverse(p) * e * p
     d = 2 * n
     chk.ok(
-        _is_zero_block(m, [d - 1], range(d)) and _is_zero_block(m, range(d), [d - 1]),
+        m.block([d - 1], range(d)).is_zero() and m.block(range(d), [d - 1]).is_zero(),
         "supported on the odd-space block",
     )
     chk.ok(is_regular_unipotent_so(Mat.identity(d)) is False, "identity is not regular")

@@ -363,16 +363,34 @@ def dense_product(x, y):
     return Mat(out)
 
 
-def pattern_of(m):
-    return tuple(tuple((j, c) for j, c in enumerate(r) if c) for r in m.rows)
+def assert_exact_pattern(m):
+    """The invariant that makes `Mat.__eq__` and `hash` exact: m has one
+    pattern row per row, each a tuple of (column, entry) pairs with int
+    columns strictly increasing and below ncols, and no entry is zero."""
+    assert m.nrows == len(m._nz) >= 1 and m.ncols >= 1
+    for row in m._nz:
+        assert type(row) is tuple
+        cols = [j for j, _ in row]
+        assert all(type(j) is int for j in cols)
+        assert all(0 <= a < b for a, b in zip(cols, cols[1:] + [m.ncols]))
+        assert all(type(c) is GaussRat and c for _, c in row)
+    return m
+
+
+def test_exact_pattern_violations_are_caught():
+    one = GaussRat(1)
+    for nz in ([((1, one), (0, one))], [((0, one), (0, one))], [((2, one),)], [((-1, one),)],
+               [((0, GaussRat(0)),)], [((0, 1),)], [((True, one),)]):
+        with pytest.raises(AssertionError):
+            assert_exact_pattern(Mat._sparse(2, nz))
+    assert_exact_pattern(Mat._sparse(2, [((0, one), (1, one)), ()]))
 
 
 def assert_product_matches_dense(x, y):
     p = x * y
     assert p.rows == dense_product(x, y).rows
-    # the product carries its pattern; the operands computed theirs once
-    assert p._nz == pattern_of(p)
-    assert x._nz == pattern_of(x) and y._nz == pattern_of(y)
+    for m in (p, x, y):
+        assert_exact_pattern(m)
     assert p.is_zero() == all(not c for r in p.rows for c in r)
     assert p.is_diagonal() == all(not c for i, r in enumerate(p.rows)
                                   for j, c in enumerate(r) if i != j)
@@ -429,7 +447,7 @@ def test_monomial_products_at_64():
     x, y = (Mat([[rand_gauss(rng, 3) or GaussRat(1) if j == perm[i] else GaussRat(0)
                   for j in range(64)] for i in range(64)]) for perm in perms)
     p = assert_product_matches_dense(x, y)
-    assert all(len(r) == 1 for r in p._nz)
+    assert all(sum(1 for c in r if c) == 1 for r in p.rows)
     assert assert_product_matches_dense(Mat.identity(64), p) == p
 
 
@@ -446,10 +464,10 @@ def test_pattern_product_drops_cancelled_entries(x, y, expected):
 
 
 def test_pattern_constructors_carry_their_pattern():
-    one, two = GaussRat(1), GaussRat(2)
-    assert Mat.identity(3)._nz == ((((0, one),), ((1, one),), ((2, one),)))
-    assert Mat.diag([2, 0, 1])._nz == (((0, two),), (), ((2, one),))
-    assert Mat.zeros(2, 3)._nz == ((), ())
+    for m in (Mat.identity(3), Mat.diag([2, 0, 1]), Mat.zeros(2, 3), Mat.zeros(3),
+              Mat([[0, SQRT_M1], [Fraction(1, 2), 0]])):
+        assert_exact_pattern(m)
+    assert Mat.identity(3) == Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert Mat.zeros(2, 3) == Mat([[0, 0, 0], [0, 0, 0]])
     assert Mat.diag([2, 0, 1]) == Mat([[2, 0, 0], [0, 0, 0], [0, 0, 1]])
     assert Mat.diag([2, 0, 1]).is_diagonal() and Mat.zeros(3).is_zero()
@@ -457,6 +475,64 @@ def test_pattern_constructors_carry_their_pattern():
     for bad in (lambda: Mat.identity(0), lambda: Mat.zeros(2, 0), lambda: Mat.diag([])):
         with pytest.raises(ValueError):
             bad()
+
+
+def test_equality_and_hash_see_the_shape():
+    # the pattern of a zero matrix is one empty tuple per row: the column
+    # count is not in it
+    assert Mat.zeros(2, 3) != Mat.zeros(2, 4)
+    assert Mat.zeros(2, 3) != Mat.zeros(3, 3)
+    assert Mat([[1, 0]]) != Mat([[1, 0, 0]])
+    dense = Mat([[1, 0, SQRT_M1], [0, 0, 0]])
+    sparse = Mat._sparse(3, [((0, GaussRat(1)), (2, SQRT_M1)), ()])
+    assert dense == sparse and hash(dense) == hash(sparse)
+    assert hash(Mat.diag([2, 0])) == hash(Mat([[2, 0], [0, 0]]))
+
+
+def dense_entrywise(f, *ms):
+    return tuple(tuple(f(*cs) for cs in zip(*rs)) for rs in zip(*(m.rows for m in ms)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (3, 5), (12, 12)]), st.sampled_from(DENSITIES),
+       st.sampled_from(DENSITIES), PATTERN_ENTRIES | st.just(GaussRat(0)))
+def test_pattern_arithmetic_matches_dense(data, shape, x_density, y_density, c):
+    x = assert_exact_pattern(data.draw(patterned_mat(*shape, x_density)))
+    y = assert_exact_pattern(data.draw(patterned_mat(*shape, y_density)))
+    for got, want in ((x + y, dense_entrywise(lambda a, b: a + b, x, y)),
+                      (x - y, dense_entrywise(lambda a, b: a - b, x, y)),
+                      (-x, dense_entrywise(lambda a: -a, x)),
+                      (x * c, dense_entrywise(lambda a: a * c, x)),
+                      (c * x, dense_entrywise(lambda a: c * a, x)),
+                      (x.transpose(), tuple(zip(*x.rows)))):
+        assert got.rows == want
+        assert_exact_pattern(got)
+    assert x - x == x + -x == x * 0 == Mat.zeros(*shape)
+
+
+def test_entries_and_rows_read_the_pattern():
+    m = Mat([[1, 0, 2], [0, SQRT_M1, 0]])
+    assert [m[i, j] for i in range(2) for j in range(3)] == [c for r in m.rows for c in r]
+    assert m.rows == ((1, 0, 2), (0, SQRT_M1, 0))
+    assert m[-1, -2] == SQRT_M1 and m[0, -1] == 2 and m[1, 0] == 0
+    for ij in ((2, 0), (0, 3), (0, -4)):
+        with pytest.raises(IndexError):
+            m[ij]
+    with pytest.raises(AttributeError):
+        m.rows = ((1,),)
+    assert Mat(m.rows) == m
+
+
+def test_block_and_relabel_match_dense():
+    rng = Random(66)
+    m = assert_exact_pattern(_random_patterned(rng, 6, 0.5))
+    for rows, cols in ((range(3), range(3)), (range(3, 6), range(3)), ([5], range(6)),
+                       (range(6), [0, 4]), ([1, 2], [5])):
+        b = assert_exact_pattern(m.block(rows, cols))
+        assert b.rows == tuple(tuple(m.rows[i][j] for j in cols) for i in rows)
+    p = rng.sample(range(6), 6)
+    perm = Mat([[int(a == p[b]) for b in range(6)] for a in range(6)])
+    assert assert_exact_pattern(m._relabel(p)) == perm * m * perm.transpose()
 
 
 # ---------------------------------------------------------------- charpoly

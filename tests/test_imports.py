@@ -1,6 +1,7 @@
 """Every import of a gspin module is at top level and used by that module, the
 package exports exactly the names it imports, no gspin module uses
-floating point, and only `exact.py` knows how a `GaussRat` is stored."""
+floating point, and only `exact.py` knows how a `GaussRat` and a `Mat` are
+stored."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gspin
+from gspin.exact import Mat
 
 PACKAGE = sorted((Path(__file__).resolve().parent.parent / "src" / "gspin").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -86,6 +88,41 @@ def test_scalar_format_read_is_reported():
               "numerator = denominator = x.re\n")
     assert _scalar_format_reads(source) == [(1, "_fast"), (2, "denominator"),
                                             (2, "numerator")]
+
+
+def _matrix_format_reads(source):
+    """(line, name) for each read of an attribute `_nz`, the stored nonzero
+    pattern of a `Mat`, and each use of `Mat._raw` or of an attribute
+    `_pattern`, the dense form's unchecked constructor and lazy pattern."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr in ("_nz", "_pattern"):
+            found.append((node.lineno, node.attr))
+        elif node.attr == "_raw" and isinstance(node.value, ast.Name) and node.value.id == "Mat":
+            found.append((node.lineno, "Mat._raw"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", NOT_EXACT, ids=[p.name for p in NOT_EXACT])
+def test_only_exact_reads_the_matrix_format(path):
+    # other modules build matrices through Mat._sparse and read them through
+    # Mat's methods
+    assert _matrix_format_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_matrix_keeps_one_stored_form():
+    reads = _matrix_format_reads((PACKAGE[0].parent / "exact.py").read_text(encoding="utf-8"))
+    assert {name for _, name in reads} == {"_nz"}
+    assert Mat.__slots__ == ("nrows", "ncols", "_nz")
+    assert not hasattr(Mat, "_raw") and not hasattr(Mat, "_pattern")
+
+
+def test_matrix_format_read_is_reported():
+    source = ("a = m._nz[0]\nb = Mat._raw(rows)\nc = m._pattern()\n"
+              "d = CliffordElement._raw(s, t)\n_nz = _raw = 1\n")
+    assert _matrix_format_reads(source) == [(1, "_nz"), (2, "Mat._raw"), (3, "_pattern")]
 
 
 def _function_level_imports(source):

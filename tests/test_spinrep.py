@@ -36,6 +36,7 @@ from gspin.spinrep import (
     theta_intertwiner,
     vacuum,
 )
+from test_exact import assert_exact_pattern
 
 ONE = GaussRat(1)
 
@@ -460,16 +461,22 @@ def test_action_matrices_match_act_on_each_basis_vector(sp):
     mixed = _mixed_element(sp, rng)
     assert any(c.im for c in even.elt.terms.values())
     assert any(c.re.denominator > 1 for c in odd.elt.terms.values())
+    # each matrix built from its pattern keeps that pattern exact (no zero
+    # sums), or equality with the dense oracle would fail
     for g in (even, odd):
-        assert spin_matrix(g).mat == _action_matrix_oracle(g.elt, full, full)
-    assert _action_matrix(mixed, full, full) == _action_matrix_oracle(mixed, full, full)
+        assert assert_exact_pattern(spin_matrix(g).mat) == _action_matrix_oracle(g.elt, full, full)
+    assert (assert_exact_pattern(_action_matrix(mixed, full, full))
+            == _action_matrix_oracle(mixed, full, full))
     if sp.kind == "even":
         n = sp.n
         plus, minus = spin_basis(sp, "+"), spin_basis(sp, "-")
-        assert half_spin_matrix(even, "+").mat == _action_matrix_oracle(even.elt, plus, plus)
-        assert half_spin_matrix(even, "-").mat == _action_matrix_oracle(even.elt, minus, minus)
-        assert _action_matrix(odd.elt, plus, minus) == _action_matrix_oracle(odd.elt, plus, minus)
-        assert theta_intertwiner(n) == _action_matrix_oracle(theta_element(sp), plus, minus)
+        for label, block in (("+", plus), ("-", minus)):
+            assert (assert_exact_pattern(half_spin_matrix(even, label).mat)
+                    == _action_matrix_oracle(even.elt, block, block))
+        assert (assert_exact_pattern(_action_matrix(odd.elt, plus, minus))
+                == _action_matrix_oracle(odd.elt, plus, minus))
+        assert (assert_exact_pattern(theta_intertwiner(n))
+                == _action_matrix_oracle(theta_element(sp), plus, minus))
 
 
 def test_action_matrix_images_outside_target_may_cancel():
@@ -691,6 +698,8 @@ def test_theta_intertwiner_intertwines():
 
 
 def test_psi_matrix_small_cases():
+    for n in (2, 3, 4, 5):
+        assert_exact_pattern(psi_matrix(n))
     assert psi_matrix(2) == Mat.identity(2)
     expected = Mat(
         [
@@ -768,7 +777,7 @@ def _pairing_oracle(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_pairing_gram_matches_oracle(n):
-    assert pairing_gram(n) == _pairing_oracle(n)
+    assert assert_exact_pattern(pairing_gram(n)) == _pairing_oracle(n)
 
 
 def test_pairing_normalization():
