@@ -28,9 +28,9 @@ import random
 import sys
 import time
 
-from .clifford import CliffordElement, GPinElement
+from .clifford import CliffordElement, GPinElement, theta
 from .cocycle import involution_module, norm_map_image, z1_b1_h1
-from .conjugacy import fingerprint, is_conjugate_gpin, is_conjugate_gspin, is_outer_conjugate
+from .conjugacy import fingerprint
 from .hodge import b_shift, ht_multiset, is_spin_regular, is_std_regular
 from .rootdata import (
     _eps_value,
@@ -307,11 +307,13 @@ def _table_conj(args):
     h = _parse_element(args.h, "--h")
     if g.space != h.space:
         raise _UsageError("the two elements live in different spaces")
+    # the verdicts of is_conjugate_gspin, is_outer_conjugate and
+    # is_conjugate_gpin, read off the fingerprints of g, h and theta(h)
     fg, fh = fingerprint(g), fingerprint(h)
     both_even = fg.is_even and fh.is_even
-    inner = is_conjugate_gspin(g, h) if both_even else None
-    outer = is_outer_conjugate(g, h) if both_even else None
-    gpin = is_conjugate_gpin(g, h)
+    inner = fg == fh if both_even else None
+    outer = fg == fingerprint(theta(h)) if both_even else None
+    gpin = (fg.norm, fg.cp_std, fg.full_spin_poly()) == (fh.norm, fh.cp_std, fh.full_spin_poly())
     return {
         "kind": "conj",
         "g": fg.to_json(),

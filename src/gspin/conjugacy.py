@@ -74,16 +74,20 @@ class Fingerprint(_Value):
         return out
 
 
+def _check_fingerprint_input(g):
+    if not isinstance(g, GPinElement):
+        raise TypeError("fingerprint expects a GPinElement")
+    if g.space.kind != "even":
+        raise ValueError("fingerprint is defined on the even-space group")
+
+
 def fingerprint(g):
     """The invariant tuple (N, std, spin) of an even-space GPin element.
 
     Equality of fingerprints decides conjugacy for semisimple elements;
     the caller is responsible for semisimplicity.
     """
-    if not isinstance(g, GPinElement):
-        raise TypeError("fingerprint expects a GPinElement")
-    if g.space.kind != "even":
-        raise ValueError("fingerprint is defined on the even-space group")
+    _check_fingerprint_input(g)
     cp_std = charpoly(g.pr_circ())
     if g.parity == 0:
         cp_plus = charpoly(half_spin_matrix(g, 1).mat)
@@ -93,6 +97,15 @@ def fingerprint(g):
     return Fingerprint(g.spinor_norm(), cp_std, cp_spin_full=cp_full)
 
 
+def _same_invariants(g, h, spin_polys):
+    """Whether g and h agree in the spinor norm, then the standard
+    polynomial, then each spin polynomial that spin_polys(x) yields in
+    turn: the fingerprint comparison, stopping at the first difference."""
+    if g.spinor_norm() != h.spinor_norm() or charpoly(g.pr_circ()) != charpoly(h.pr_circ()):
+        return False
+    return all(p == q for p, q in zip(spin_polys(g), spin_polys(h)))
+
+
 def is_conjugate_gspin(g, h):
     """Fingerprint equality on the connected group (even parity required)."""
     for x in (g, h):
@@ -100,13 +113,20 @@ def is_conjugate_gspin(g, h):
             raise ValueError("is_conjugate_gspin expects even-space GPin elements")
         if x.parity:
             raise ValueError("is_conjugate_gspin expects even-parity elements")
-    return fingerprint(g) == fingerprint(h)
+    return _same_invariants(g, h, lambda x: (charpoly(half_spin_matrix(x, eps).mat)
+                                             for eps in (1, -1)))
 
 
 def is_conjugate_gpin(g, h):
-    """Fingerprint equality for the full twisted group: (N, std, full spin)."""
-    fg, fh = fingerprint(g), fingerprint(h)
-    return (fg.norm, fg.cp_std, fg.full_spin_poly()) == (fh.norm, fh.cp_std, fh.full_spin_poly())
+    """Fingerprint equality for the full twisted group: (N, std, full spin).
+
+    The full spin polynomial of an even element is the product of its two
+    half-spin polynomials, the characteristic polynomial of its block
+    diagonal spin matrix.
+    """
+    _check_fingerprint_input(g)
+    _check_fingerprint_input(h)
+    return _same_invariants(g, h, lambda x: (charpoly(spin_matrix(x).mat),))
 
 
 def is_outer_conjugate(g, h):

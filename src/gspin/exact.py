@@ -11,6 +11,7 @@ point.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial, gcd, lcm
 
@@ -40,6 +41,30 @@ def _over(den, re, im):
         # Fraction(int) skips the gcd that Fraction(int, 1) takes
         return list(map(GaussRat._fast, map(Fraction, re), map(Fraction, im)))
     return [GaussRat._fast(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)]
+
+
+def _convolve(ar, ai, br, bi):
+    """(re, im): the Gaussian-integer coefficients of the product of the
+    polynomials with coefficients ar + ai*i and br + bi*i, lowest degree
+    first."""
+    if len(ar) > len(br):
+        # the loop runs over the shorter factor
+        ar, ai, br, bi = br, bi, ar, ai
+    re = [0] * (len(ar) + len(br) - 1)
+    im = list(re)
+    if not any(ai) and not any(bi):
+        # real coefficients: the imaginary parts stay zero
+        for j, x in enumerate(ar):
+            if x:
+                top = j + len(br)
+                re[j:top] = [r + x * u for r, u in zip(re[j:top], br)]
+        return re, im
+    for j, (x, y) in enumerate(zip(ar, ai)):
+        if x or y:
+            top = j + len(br)
+            re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
+            im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
+    return re, im
 
 
 class _Value:
@@ -247,14 +272,7 @@ class Poly:
         # two denominators
         da, ar, ai = _numerators(self.coeffs)
         db, br, bi = _numerators(other.coeffs)
-        re = [0] * (len(ar) + len(br) - 1)
-        im = list(re)
-        for j, (x, y) in enumerate(zip(ar, ai)):
-            if x or y:
-                top = j + len(br)
-                re[j:top] = [r + x * u - y * v for r, u, v in zip(re[j:top], br, bi)]
-                im[j:top] = [s + x * v + y * u for s, u, v in zip(im[j:top], br, bi)]
-        return Poly(_over(da * db, re, im))
+        return Poly(_over(da * db, *_convolve(ar, ai, br, bi)))
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be a GaussRat-like scalar or a square Mat."""
@@ -535,12 +553,129 @@ class Mat:
         return cls([[GaussRat.parse(s) for s in r] for r in data])
 
 
+def _components(succ):
+    """The strongly connected components of the graph with an edge i -> j
+    for each j in succ[i], by Tarjan's depth-first search, run with an
+    explicit stack of (node, iterator over its successors)."""
+    index, low = [None] * len(succ), [0] * len(succ)
+    stack, on_stack, comps, count = [], set(), [], 0
+    for root in range(len(succ)):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] is None:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    comps.append(comp)
+    return comps
+
+
 def charpoly(m):
     """Characteristic polynomial det(x*I - m), monic, computed exactly.
 
-    The matrix is first brought to Hessenberg form H by an exact similarity
-    over Q(i) (so the result is unchanged), then the polynomial is built by
-    the leading-principal-minor recurrence for Hessenberg matrices,
+    Relabelling the rows and columns by the strongly connected components
+    of the nonzero pattern (an edge i -> j for each nonzero off-diagonal
+    entry (i, j)) makes the matrix block upper triangular, so the
+    polynomial is the product of the polynomials of its diagonal blocks.
+    A block of one row is x - a; a block of two rows [[a, b], [c, d]] is
+    x^2 - (a + d) x + (ad - bc), both on the Gaussian-integer numerators
+    of one `_numerators` call.  A larger block goes through
+    `_hessenberg_charpoly` on its dense entries alone.  Equal factors are
+    counted once and raised to their multiplicity by squaring; the factors
+    are multiplied on integers over the product of their denominators,
+    which one gcd reduces at the end.
+    """
+    if not m.is_square:
+        raise ValueError("charpoly of a non-square matrix")
+    nz = m._nz
+    small, big = [], []
+    for comp in _components([[j for j, _ in row if j != i] for i, row in enumerate(nz)]):
+        (small if len(comp) <= 2 else big).append(comp)
+    # the entries of the small blocks, zeros included: a for a block (i,),
+    # then a, b, c, d for a block (i, j) with a = m[i, i] and b = m[i, j]
+    zero = GaussRat(0)
+    values = []
+    for comp in small:
+        for i in comp:
+            row = dict(nz[i])
+            values += [row.get(j, zero) for j in comp]
+    den, re, im = _numerators(values) if values else (1, [], [])
+    # each factor as (den, re, im) numerators, counted with its multiplicity
+    factors = Counter()
+    k = 0
+    for comp in small:
+        if len(comp) == 1:
+            a, b = re[k], im[k]
+            factors[den, (-a, den), (-b, 0)] += 1
+            k += 1
+        else:
+            ar, br, cr, dr = re[k:k + 4]
+            ai, bi, ci, di = im[k:k + 4]
+            factors[den * den, (ar * dr - ai * di - br * cr + bi * ci, -(ar + dr) * den, den * den),
+                    (ar * di + ai * dr - bi * cr - br * ci, -(ai + di) * den, 0)] += 1
+            k += 4
+    for comp in big:
+        comp.sort()
+        at = {v: k for k, v in enumerate(comp)}
+        block = [[zero] * len(comp) for _ in comp]
+        for v, row in zip(comp, block):
+            for j, c in nz[v]:
+                # an entry outside the block lies in an off-diagonal block
+                k = at.get(j)
+                if k is not None:
+                    row[k] = c
+        fden, fre, fim = _hessenberg_charpoly(block)
+        factors[fden, tuple(fre), tuple(fim)] += 1
+    pden, pre, pim = 1, [1], [0]
+    for (fden, fre, fim), mult in factors.items():
+        while True:
+            if mult & 1:
+                pre, pim = _convolve(fre, fim, pre, pim)
+                pden *= fden
+            mult >>= 1
+            if not mult:
+                break
+            fre, fim = _convolve(fre, fim, fre, fim)
+            fden *= fden
+    if pden != 1:
+        g = gcd(pden, *pre, *pim)
+        if g != 1:
+            pden = pden // g
+            pre = [c // g for c in pre]
+            pim = [c // g for c in pim]
+    return Poly(_over(pden, pre, pim))
+
+
+def _hessenberg_charpoly(H):
+    """(den, re, im): the characteristic polynomial of the dense square
+    matrix H (a list of GaussRat row lists, changed in place) as
+    Gaussian-integer numerators over a positive denominator.
+
+    H is first brought to Hessenberg form by an exact similarity over Q(i)
+    (so the result is unchanged), then the polynomial is built by the
+    leading-principal-minor recurrence for Hessenberg matrices,
 
         p_k = (x - H[k-1][k-1]) p_{k-1}
               - sum_j H[j-1][k-1] H[j][j-1] ... H[k-1][k-2] p_{j-1},
@@ -550,12 +685,8 @@ def charpoly(m):
     of step k share their least common denominator e, so p_k is written
     over e times the lcm of the denominators of the p_j it uses, then
     divided by the gcd of that denominator and all its numerators.
-    Fractions are built only for the n + 1 output coefficients.
     """
-    if not m.is_square:
-        raise ValueError("charpoly of a non-square matrix")
-    n = m.nrows
-    H = m._dense()
+    n = len(H)
     for k in range(n - 2):
         piv = None
         for r in range(k + 1, n):
@@ -625,7 +756,7 @@ def charpoly(m):
                 re = [c // g for c in re]
                 im = [c // g for c in im]
         polys.append((den, re, im))
-    return Poly(_over(*polys[n]))
+    return polys[n]
 
 
 def _reduce(rows, ncols):

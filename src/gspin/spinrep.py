@@ -7,10 +7,12 @@ index subsets U of {1..n} (strictly increasing tuples) to coefficients;
 the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  Each subset is
 walked as the bitmask of the Clifford product kernel (`clifford._mask`,
 bit j - 1 for index j), so a wedge or a contraction is one bit operation
-signed by the number of set bits below it.  One walker, `_column`, takes a
-basis mask through every monomial of an element; `act` sums its columns
-with the vector's coefficients, and a spin matrix is one such walk per
-column, written straight into the matrix (`_action_matrix`).
+signed by the number of set bits below it.  A whole monomial is compiled
+once into a mask test, a flip and a sign mask (`_compile`), and one
+walker, `_column`, takes a basis mask through every compiled term of an
+element, one test per term; `act` sums its columns with the vector's
+coefficients, and a spin matrix is one such walk per column, written
+straight into the matrix (`_action_matrix`).
 
 Basis bookkeeping follows the signed vectors b_U = (-1)^{#U} m_U.  The
 even-degree b_U (where the sign is +1, so b_U = m_U) are ordered
@@ -43,62 +45,74 @@ def vacuum():
     return {(): GaussRat(1)}
 
 
-def _apply_monomial(w, mono, u):
-    """Walk the basis mask u through a Clifford monomial, last generator first.
+def _compile(w, mono):
+    """The action of a Clifford monomial on the basis masks of the module
+    with dim W = w, as (need, want, flip, smask, odd), or None when the
+    monomial kills every mask.
 
-    w = dim W and u has bit j - 1 for index j (`clifford._mask`).  Each
-    generator sends a basis monomial to plus or minus one basis monomial
-    or to 0, so a whole monomial does too.  Generator g <= w wedges on bit
-    g - 1, g <= 2w contracts bit g - w - 1, each signed by the number of
-    set bits below it; 2w + 1, the odd space's anisotropic f_{2n-1},
-    multiplies by (-1)^{#U}.  Returns (sign, mask) with sign +1 or -1, or
-    None when the image is 0.
+    Masks have bit j - 1 for index j (`clifford._mask`).  The generators
+    act last first: g <= w wedges on bit g - 1 (0 if the bit is set),
+    g <= 2w contracts bit g - w - 1 (0 if it is clear), each signed by the
+    number of set bits below it, and 2w + 1, the odd space's anisotropic
+    f_{2n-1}, multiplies by (-1)^{#U}.  Each bit's first use fixes its
+    value in the input, so the image of u is nonzero exactly when
+    u & need == want, and is then (-1)^(#(u & smask) + odd) times the
+    mask u ^ flip: each sign counts the set bits of u ^ f under some mask
+    s, where f is the part of flip made so far, and #((u ^ f) & s) has
+    the parity of #(u & s) + #(f & s).
     """
-    sign = 1
+    need = want = flip = smask = odd = 0
     for g in reversed(mono):
-        if g <= w:
-            bit = 1 << (g - 1)
-            if u & bit:
-                return None
-            below = u & (bit - 1)
-            u |= bit
-        elif g <= 2 * w:
-            bit = 1 << (g - w - 1)
-            if not u & bit:
-                return None
-            u ^= bit
-            below = u & (bit - 1)
+        if g > 2 * w:
+            below = (1 << w) - 1
         else:
-            below = u
-        if below.bit_count() & 1:
-            sign = -sign
-    return sign, u
+            # wedge: the bit must be clear; contraction: it must be set
+            bit = 1 << (g - 1 if g <= w else g - w - 1)
+            must = 0 if g <= w else bit
+            if need & bit:
+                if (want ^ flip) & bit != must:
+                    return None
+            else:
+                need |= bit
+                want |= must ^ (flip & bit)
+            below = bit - 1
+            flip ^= bit
+        smask ^= below
+        odd ^= (flip & below).bit_count() & 1
+    return need, want, flip, smask, odd
 
 
 def _walk_data(c):
-    """(w, terms) of `_column` for the element c, after act's type and
-    space-kind checks: w = dim W, and (monomial, c, -c) for each term, so
-    a signed image is picked, never multiplied."""
+    """(w, terms) for the element c, after act's type and space-kind checks:
+    w = dim W, and the terms of `_column`: (need, want, flip, smask, x, -x)
+    for each term x m whose monomial m does not kill every mask
+    (`_compile`), with x and -x swapped when odd is 1, so a signed image
+    is picked, never multiplied."""
     if not isinstance(c, CliffordElement):
         raise TypeError("act expects a CliffordElement")
     space = c.space
     if space.kind not in ("even", "odd"):
         raise ValueError(_NO_MODULE)
     w = space.n if space.kind == "even" else space.n - 1
-    return w, [(mono, x, -x) for mono, x in c.terms.items()]
+    terms = []
+    for mono, x in c.terms.items():
+        walk = _compile(w, mono)
+        if walk is not None:
+            need, want, flip, smask, odd = walk
+            terms.append((need, want, flip, smask) + ((-x, x) if odd else (x, -x)))
+    return w, terms
 
 
-def _column(w, terms, u):
-    """The image of the basis mask u as {mask: coefficient}, zero sums kept."""
+def _column(terms, u):
+    """The image of the basis mask u as {mask: coefficient}, zero sums kept:
+    one test per term."""
     acc = {}
-    for mono, pos, neg in terms:
-        hit = _apply_monomial(w, mono, u)
-        if hit is None:
-            continue
-        sign, target = hit
-        x = pos if sign > 0 else neg
-        prev = acc.get(target)
-        acc[target] = x if prev is None else prev + x
+    for need, want, flip, smask, pos, neg in terms:
+        if u & need == want:
+            target = u ^ flip
+            x = neg if (u & smask).bit_count() & 1 else pos
+            prev = acc.get(target)
+            acc[target] = x if prev is None else prev + x
     return acc
 
 
@@ -113,7 +127,7 @@ def act(c, vec):
     acc = {}
     for u, v in vec.items():
         unit = v == 1  # a unit coefficient needs no product
-        for m, x in _column(w, terms, _mask(u)).items():
+        for m, x in _column(terms, _mask(u)).items():
             if not unit:
                 x = v * x
             prev = acc.get(m)
@@ -130,11 +144,11 @@ def _action_matrix(c, src, dst):
     column order, so the walk writes the nonzero pattern directly.
     Raises ValueError if an image has a nonzero component outside dst.
     """
-    w, terms = _walk_data(c)
+    _, terms = _walk_data(c)
     index = {_mask(u): k for k, u in enumerate(dst)}
     nz = [[] for _ in dst]
     for j, u in enumerate(src):
-        for m, x in _column(w, terms, _mask(u)).items():
+        for m, x in _column(terms, _mask(u)).items():
             if not x:
                 continue
             k = index.get(m)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gspin import cli, suites
 from gspin.cli import SUITES, main
-from gspin.clifford import CliffordElement, QuadSpace, even_space, odd_space, theta
+from gspin.clifford import CliffordElement, GPinElement, QuadSpace, even_space, odd_space, theta
 from gspin.exact import GaussRat
 from gspin.rootdata import torus_point
 
@@ -124,6 +124,19 @@ def test_extension_and_pairing_report_at_n6_is_pinned():
     assert rc == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "db90c4b530fa92be45a606b79f3a3034aabb21092e9c8147fd5903fee4fdce20"
+    )
+
+
+def test_conjugacy_and_spin_report_at_n6_n7_is_pinned():
+    # The conjugacy, restriction and half-spin suites at n = 6 and 7 for
+    # seed 7: charpoly on spin and half-spin matrices of 32 to 128 rows,
+    # and conjugacy verdicts on dense elements.
+    rc, out = run_cli(["verify", "--suites",
+                       "lem:GPin-conjugacy,prop:res-of-spin,eq:CliffordHalfSpinDef",
+                       "--n", "6..7", "--seed", "7", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "1b77b9e391fc3d88240c58c2d63a0452589db2df47dbea37837266fd4369d693"
     )
 
 
@@ -532,6 +545,34 @@ def test_table_conj_inner_outer_verdicts():
     assert v["g"]["cp_spin_plus"] == v["h"]["cp_spin_minus"]
     rc, same = run_json(["table", "conj", "--g", element_json(g), "--h", element_json(g)])
     assert same["inner"] is True and same["outer"] is False
+
+
+def _n5_conj_pairs():
+    """(g, h) element texts at n = 5: g a torus point with fractional and
+    imaginary coordinates, first against a conjugate u g u^-1 (u a product
+    of two vectors), then against its outer twist theta(g), which is not
+    conjugate to it."""
+    sp = even_space(5)
+    g = torus_point((2, 3, _HALF, -5, GaussRat(1, 1), 7 * _THIRD))
+    u = CliffordElement.one(sp)
+    for coords in ([0, 1, 0, 0, 0, 0, 2, 0, 0, 0], [0, 0, 0, 1, _I, 0, 0, 0, 1, 1]):
+        u = u * CliffordElement.vector(sp, coords)
+    u = GPinElement(u)
+    texts = [json.dumps(x.elt.to_json()) for x in (g, u * g * u.inverse(), theta(g))]
+    return [(texts[0], texts[1]), (texts[0], texts[2])]
+
+
+@pytest.mark.parametrize("pair, digest", zip(_n5_conj_pairs(), [
+    "328f4bbb5ecb37fac8fb0db3b9ba05d8b76caafe8b0bad483f7dc6e818a226b4",
+    "a09b2ec5316a07fe85732bed8a94ee65c568e045c18067e600896c0e54bb9755",
+]), ids=["conjugate", "outer-twist"])
+def test_table_conj_is_pinned(pair, digest):
+    # The bytes of `table conj` for an n = 5 element against a conjugate and
+    # against its outer twist: the fingerprints and the three verdicts.
+    g, h = pair
+    rc, out = run_cli(["table", "conj", "--g", g, "--h", h])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_table_conj_mixed_parity_gives_nulls():

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from gspin import conjugacy
 from gspin.clifford import (
+    CliffordElement,
     GPinElement,
     even_space,
+    odd_space,
     random_gpin,
     random_gspin,
     theta,
@@ -24,7 +27,7 @@ from gspin.conjugacy import (
     spin7_orbit_discriminator,
     spin_minus_irreducibility_weight_check,
 )
-from gspin.exact import GaussRat, Mat, Poly, exp_nilpotent, jordan_partition
+from gspin.exact import GaussRat, Mat, Poly, charpoly, exp_nilpotent, jordan_partition
 from gspin.rootdata import (
     TorusCoordinates,
     parity_subsets,
@@ -202,6 +205,73 @@ def test_parity_mismatch_is_never_conjugate():
     assert not is_conjugate_gpin(g, th)
     with pytest.raises(ValueError):
         is_conjugate_gspin(g, th)
+
+
+def _verdict_pairs():
+    """(label, g, h, field) at n = 4 around a generic torus point t: pairs
+    whose fingerprints first differ in the norm, in cp_std (same norm,
+    other standard eigenvalues) or in the half-spin polynomials (t against
+    theta(t)), conjugate pairs, and pairs of mixed parity.  field names the
+    first of norm and cp_std that differs, or is None."""
+    half, one_i = Fraction(1, 2), GaussRat(1, 1)
+    t = torus_point(TorusCoordinates((2, 3, half, -5, one_i)))
+    sp = even_space(4)
+    rng = random.Random(26)
+    p = random_gspin(sp, rng, span=3)
+    q = random_gpin(sp, rng, factors=3, span=3)
+    r = GPinElement(CliffordElement.vector(sp, [1, 0, 0, 0, 1, 0, 0, 0]))  # norm 1
+    return [
+        ("norm", t, torus_point(TorusCoordinates((4, 3, half, -5, one_i))), "norm"),
+        ("cp_std", t, torus_point(TorusCoordinates((4, Fraction(3, 4), half, -5, one_i))),
+         "cp_std"),
+        ("spin", t, theta(t), None),
+        ("conjugate", t, p * t * p.inverse(), None),
+        ("mixed-norm", q * t, t, "norm"),
+        ("mixed-cp_std", t, r * t, "cp_std"),
+        ("odd-conjugate", q * t, p * q * t * p.inverse(), None),
+    ]
+
+
+@pytest.mark.parametrize("pair", _verdict_pairs(), ids=lambda pair: pair[0])
+def test_early_exit_verdicts_match_fingerprints(pair, monkeypatch):
+    # The verdicts compare the norm, then cp_std, then the spin
+    # polynomials, and stop at the first difference; they must agree with
+    # equality of the full fingerprints, which compute every polynomial.
+    label, g, h, field = pair
+    fg, fh = fingerprint(g), fingerprint(h)
+    assert next((k for k in ("norm", "cp_std") if getattr(fg, k) != getattr(fh, k)), None) == field
+    calls = []
+    monkeypatch.setattr(conjugacy, "charpoly", lambda m: calls.append(m) or charpoly(m))
+    # the standard polynomials are computed only when the norms agree
+    std = 0 if field == "norm" else 2
+    if fg.is_even and fh.is_even:
+        assert is_conjugate_gspin(g, h) == (fg == fh) == (label == "conjugate")
+        # the "+" polynomials differ for theta(t), so "-" is never computed
+        assert len(calls) == std + {"spin": 2, "conjugate": 4}.get(label, 0)
+        calls.clear()
+    same = (fg.norm, fg.cp_std, fg.full_spin_poly()) == (fh.norm, fh.cp_std, fh.full_spin_poly())
+    assert is_conjugate_gpin(g, h) == same == (field is None)
+    assert len(calls) == std + (2 if field is None else 0)
+
+
+def test_verdict_input_checks_come_before_any_work(monkeypatch):
+    # each element is checked, g first, with the messages of the full
+    # fingerprint comparison, before any polynomial is computed
+    t = torus_point(TorusCoordinates.identity(3))
+    odd = GPinElement(CliffordElement.one(odd_space(3)))
+    odd_parity = GPinElement(theta_element(even_space(3)))
+    monkeypatch.setattr(conjugacy, "charpoly", None)
+    cases = [
+        (is_conjugate_gpin, Mat.identity(4), odd, TypeError, "expects a GPinElement"),
+        (is_conjugate_gpin, t, Mat.identity(4), TypeError, "expects a GPinElement"),
+        (is_conjugate_gpin, odd, 1, ValueError, "defined on the even-space group"),
+        (is_conjugate_gpin, t, odd, ValueError, "defined on the even-space group"),
+        (is_conjugate_gspin, odd, 1, ValueError, "expects even-space GPin elements"),
+        (is_conjugate_gspin, t, odd_parity, ValueError, "expects even-parity elements"),
+    ]
+    for verdict, g, h, exc, message in cases:
+        with pytest.raises(exc, match=message):
+            verdict(g, h)
 
 
 def test_fingerprint_agrees_with_weyl_orbits_on_grid():

@@ -21,6 +21,7 @@ from gspin.exact import (
     GaussRat,
     Mat,
     Poly,
+    _components,
     _numerators,
     _over,
     charpoly,
@@ -687,6 +688,67 @@ def test_charpoly_hessenberg_with_zero_subdiagonal(fractional):
     for lo, hi in zip((0,) + cuts, cuts + (n,)):
         expected = expected * charpoly_faddeev_leverrier(Mat([r[lo:hi] for r in rows[lo:hi]]))
     assert p == expected
+
+
+def rand_strong_blocks(rng, sizes, zero_diagonal):
+    """Block upper triangular, with diagonal blocks of the given sizes that
+    are strongly connected: every off-diagonal entry inside a block is a
+    nonzero fractional or imaginary entry, and with zero_diagonal every
+    other diagonal entry is 0.  About half the entries above the blocks are
+    nonzero."""
+    block = [b for b, size in enumerate(sizes) for _ in range(size)]
+    rows = []
+    for i, bi in enumerate(block):
+        row = []
+        for j, bj in enumerate(block):
+            if bi > bj or (bi < bj and rng.random() < 0.5) or (i == j and zero_diagonal and i % 2):
+                row.append(GaussRat(0))
+            else:
+                row.append(rand_frac(rng, 5) or GaussRat(1, 1))
+        rows.append(row)
+    return Mat(rows)
+
+
+@pytest.mark.parametrize("sizes", [(1,) * 6, (2, 2, 2), (1, 2, 1, 2), (3, 1, 2), (2, 4, 1),
+                                   (1, 5, 2, 3), (7,), (3, 3, 2, 1, 1)])
+@pytest.mark.parametrize("zero_diagonal", [False, True], ids=["full-diagonal", "zero-diagonal"])
+def test_charpoly_of_relabelled_block_triangular(sizes, zero_diagonal):
+    # P B P^-1 for a random permutation P: the diagonal blocks of B are the
+    # strongly connected components of the pattern, with their rows
+    # scattered, and every entry between two blocks lies outside both
+    rng = Random(len(sizes) * 67 + sum(sizes) + 7 * zero_diagonal)
+    b = rand_strong_blocks(rng, sizes, zero_diagonal)
+    perm = list(range(b.nrows))
+    rng.shuffle(perm)
+    m = b._relabel(perm)
+    succ = [[j for j, _ in row if j != i] for i, row in enumerate(m._nz)]
+    assert sorted(map(len, _components(succ))) == sorted(sizes)
+    p = charpoly(m)
+    assert p == charpoly(b) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+    if m.nrows <= 6:
+        assert p == charpoly_sympy(m)
+
+
+def test_charpoly_dense_block_skips_entries_outside_it():
+    # two interleaved components, {0, 3, 5, 6} and {1, 2, 4, 7}, each a
+    # dense block, with every entry from the first to the second nonzero:
+    # filling a block densely must skip the columns of the other one
+    rng = Random(71)
+    first = {0, 3, 5, 6}
+    rows = [[rand_frac(rng) or GaussRat(1) if (i in first) >= (j in first) else GaussRat(0)
+             for j in range(8)] for i in range(8)]
+    m = Mat(rows)
+    succ = [[j for j, _ in row if j != i] for i, row in enumerate(m._nz)]
+    assert sorted(map(sorted, _components(succ))) == [[0, 3, 5, 6], [1, 2, 4, 7]]
+    assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_minor_recurrence(m)
+
+
+def test_charpoly_one_dense_component():
+    rng = Random(73)
+    m = rand_frac_mat(rng, 5)
+    succ = [[j for j, _ in row if j != i] for i, row in enumerate(m._nz)]
+    assert len(_components(succ)) == 1
+    assert charpoly(m) == charpoly_faddeev_leverrier(m) == charpoly_sympy(m)
 
 
 def test_charpoly_one_by_one_and_zero():

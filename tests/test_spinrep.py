@@ -300,6 +300,57 @@ def test_act_of_monomial_is_generators_right_to_left(space):
                 assert act(c, {u: ONE}) == expected, (mono, u)
 
 
+def _apply_monomial(w, mono, u):
+    """Oracle for `spinrep._compile`: walk the basis mask u through a
+    Clifford monomial one generator at a time, last generator first.
+
+    w = dim W and u has bit j - 1 for index j.  Generator g <= w wedges on
+    bit g - 1, g <= 2w contracts bit g - w - 1, each signed by the number
+    of set bits below it; 2w + 1, the odd space's anisotropic f_{2n-1},
+    multiplies by (-1)^{#U}.  Returns (sign, mask), or None when the image
+    is 0.
+    """
+    sign = 1
+    for g in reversed(mono):
+        if g <= w:
+            bit = 1 << (g - 1)
+            if u & bit:
+                return None
+            below = u & (bit - 1)
+            u |= bit
+        elif g <= 2 * w:
+            bit = 1 << (g - w - 1)
+            if not u & bit:
+                return None
+            u ^= bit
+            below = u & (bit - 1)
+        else:
+            below = u
+        if below.bit_count() & 1:
+            sign = -sign
+    return sign, u
+
+
+@pytest.mark.parametrize("space", [even_space(n) for n in range(1, 5)]
+                         + [odd_space(n) for n in range(2, 6)],
+                         ids=lambda sp: f"{sp.kind}-{sp.n}")
+def test_compiled_monomial_matches_generator_walk(space):
+    # every monomial of C(V), e_k together with f_k and the odd space's
+    # f_{2n-1} included, on every basis mask
+    w = space.n if space.kind == "even" else space.n - 1
+    for r in range(space.dim + 1):
+        for mono in combinations(range(1, space.dim + 1), r):
+            walk = spinrep._compile(w, mono)
+            for u in range(1 << w):
+                hit = _apply_monomial(w, mono, u)
+                if walk is None or u & walk[0] != walk[1]:
+                    assert hit is None, (mono, u)
+                else:
+                    need, want, flip, smask, odd = walk
+                    sign = -1 if ((u & smask).bit_count() + odd) & 1 else 1
+                    assert hit == (sign, u ^ flip), (mono, u)
+
+
 def _rand_coeff(rng):
     """A Gaussian rational with denominators in 2..9 and a nonzero real part."""
     re = 0
