@@ -14,8 +14,11 @@ e_S e_g has a closed form with at most two terms (`_fold`), computed on
 module.  `exact._numerators` and `exact._over` convert coefficients to
 numerators and back, so this module never reads how a ``GaussRat`` is
 stored; ``terms`` keys stay sorted tuples, and nothing is memoized.
-Products, ``beta`` and the membership check of ``GPinElement`` share
-that kernel (`_product`, `_beta_terms`, `_merge`).  On top of the algebra
+Products and ``beta`` share that kernel (`_product`, `_beta_terms`,
+`_merge`).  The membership check of ``GPinElement`` reads candidate
+images of the basis vectors in the Fock module (`_compile`, on the same
+masks) and certifies them with the kernel in time linear in the number
+of terms (`_certificate`).  On top of the algebra
 sit the group elements (``GPinElement``: homogeneous, invertible,
 stabilizing V under conjugation), the spinor norm, the vector representation pr_circ
 (twisted conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the
@@ -115,13 +118,17 @@ class QuadSpace:
                     for k, b in enumerate(w) if b), GaussRat(0))
 
     def quad(self, v):
-        """Q(v) for a coordinate sequence, using Q(x+y) = Q(x)+Q(y)+<x,y>."""
+        """Q(v) for a coordinate sequence, in closed form: the sum of
+        v_i v_{i+h} over the hyperbolic pairs (h = dim // 2), plus
+        Q(top) v_top^2 for the top vector of an odd space or a line."""
         v = list(v)
         if len(v) != self.dim:
             raise ValueError("coordinate length mismatch")
-        return sum((v[j] * v[k] * (self.q(j + 1) if j == k else self.pair(j + 1, k + 1))
-                    for j in range(self.dim) if v[j] for k in range(j, self.dim) if v[k]),
-                   GaussRat(0))
+        h = self.dim // 2
+        out = sum((a * b for a, b in zip(v[:h], v[h:2 * h]) if a and b), GaussRat(0))
+        if self.dim % 2 and v[-1]:
+            out = out + self.q(self.dim) * v[-1] * v[-1]
+        return out
 
     def basis_letter(self):
         return {"even": "e", "odd": "f", "line": "u"}[self.kind]
@@ -204,10 +211,12 @@ def _fold(space, frontier, gens):
     grow out of one monomial never land on the same monomial within a
     step: a plain list loses no merging, and equal monomials from
     different starting terms are summed once, at the end (`_merge`).
-    Products, `beta` and the membership check of
-    `GPinElement` work on such lists, and `_from_numerators` turns them
-    back into tuples; `spinrep._column` walks the Fock module on the same
-    masks.  `_mask` and `_mono` are the only conversions.
+    Products and `beta` work on such lists, and `_from_numerators` turns
+    them back into tuples.  The membership check of `GPinElement` uses
+    `_fold` and its left-hand mirror `_fold_left` to certify x e_j ==
+    w_j x (`_certificate`), and reads the candidates w_j in the Fock
+    module on the same masks (`_compile`), which `spinrep._column` walks
+    too.  `_mask` and `_mono` are the only conversions.
     """
     dim, h, top = space.dim, space.dim // 2, space._top_q
     for g in gens:
@@ -226,6 +235,223 @@ def _fold(space, frontier, gens):
             add((m ^ bit, -re, -im) if (m >> g).bit_count() & 1 else (m ^ bit, re, im))
         frontier = out
     return frontier
+
+
+def _fold_left(space, g, frontier):
+    """The terms of e_g * (sum of frontier terms): the mirror of `_fold`.
+
+    Moving e_g right past the e_s with s < g flips the sign once per such
+    s and, at g's partner p < g, contracts to <e_g, e_p> = 1, so
+      e_g e_S = (-1)^#{s in S: s < g} e_{S xor g}   (times Q(g) if g in S)
+              + (-1)^#{s in S: s < p} e_{S minus p}  (if p in S),
+    with p = g - h for h < g <= 2h, h = dim // 2.
+    """
+    h, bit = space.dim // 2, 1 << (g - 1)
+    pbit = bit >> h if h < g <= 2 * h else 0
+    q = space._top_q if g == space.dim else None
+    below, pbelow = bit - 1, pbit - 1
+    out = []
+    add = out.append
+    for m, re, im in frontier:
+        if m & pbit:
+            add((m ^ pbit, -re, -im) if (m & pbelow).bit_count() & 1 else (m ^ pbit, re, im))
+        if m & bit:
+            if q is None:
+                continue
+            re, im = re * q[0] - im * q[1], re * q[1] + im * q[0]
+        add((m ^ bit, -re, -im) if (m & below).bit_count() & 1 else (m ^ bit, re, im))
+    return out
+
+
+def _compile(w, mono):
+    """The action of a sequence of generators on the basis masks of the
+    Fock module with dim W = w, as (need, want, flip, smask, odd), or None
+    when it kills every mask.
+
+    The module is the exterior algebra on W = span(e_1..e_w); its masks
+    have bit j - 1 for index j, as in `_mask`.  The generators act last
+    first: g <= w wedges on bit g - 1 (0 if the bit is set), g <= 2w
+    contracts bit g - w - 1 (0 if it is clear), each signed by the number
+    of set bits below it, and 2w + 1, the odd space's anisotropic
+    f_{2n-1}, multiplies by (-1)^{#U}.  Each bit's first use fixes its
+    value in the input, so the image of u is nonzero exactly when
+    u & need == want, and is then (-1)^(#(u & smask) + odd) times the
+    mask u ^ flip: each sign counts the set bits of u ^ f under some mask
+    s, where f is the part of flip made so far, and #((u ^ f) & s) has
+    the parity of #(u & s) + #(f & s).
+    """
+    need = want = flip = smask = odd = 0
+    for g in reversed(mono):
+        if g > 2 * w:
+            below = (1 << w) - 1
+        else:
+            # wedge: the bit must be clear; contraction: it must be set
+            bit = 1 << (g - 1 if g <= w else g - w - 1)
+            must = 0 if g <= w else bit
+            if need & bit:
+                if (want ^ flip) & bit != must:
+                    return None
+            else:
+                need |= bit
+                want |= must ^ (flip & bit)
+            below = bit - 1
+            flip ^= bit
+        smask ^= below
+        odd ^= (flip & below).bit_count() & 1
+    return need, want, flip, smask, odd
+
+
+def _compiled(w, words, re, im):
+    """(need, want, flip, smask, re, im) for each generator sequence of
+    words with numerator re + im*i that does not kill every mask
+    (`_compile`), the numerator negated when odd is 1."""
+    out = []
+    for word, r, i in zip(words, re, im):
+        walk = _compile(w, word)
+        if walk is not None:
+            need, want, flip, smask, odd = walk
+            out.append((need, want, flip, smask, -r, -i) if odd else (need, want, flip, smask, r, i))
+    return out
+
+
+def _vacuum_image(terms):
+    """{mask: (re, im)}: the compiled terms applied to the vacuum, the
+    empty mask, which a term moves exactly when want == 0, onto flip."""
+    ket = {}
+    for need, want, flip, smask, r, i in terms:
+        if not want:
+            prev = ket.get(flip)
+            ket[flip] = (r, i) if prev is None else (prev[0] + r, prev[1] + i)
+    return {u: v for u, v in ket.items() if v[0] or v[1]}
+
+
+def _vector_reads(w, terms, ket, low, odd):
+    """{(j, k): (re, im)}: for each generator e_{j+1}, the component of
+    (sum of compiled terms) * e_{j+1} * ket that reads coordinate k.
+
+    The singleton mask {b} reads k = b + low: low = 0 in the vacuum
+    module, and low = w in the dual one, where each generator acts as its
+    partner does (`_certificate`).  In the vacuum module of the odd space
+    the empty mask reads k = 2w, the top coordinate.  The generator that
+    wedges bit b is e_{b+1+low} and the one that contracts it
+    e_{b+1+w-low}; in closed form (`_compile` of one generator) they flip
+    bit b of a ket mask u0, whichever of them can act, and on the odd
+    space e_{2w+1} flips nothing.  A term with flip f' then lands on
+    u0 ^ f ^ f', so a hit is a ket mask u0, a generator flip f and a read
+    mask t with u0 ^ f ^ f' == t.  Each term finds its hits from
+    whichever side is smaller: the ket masks within two bits of f', or
+    every (t, f).
+    """
+    empty = odd and not low
+    reads = [1 << b for b in range(w)] + [0] * empty
+    by_ket = len(ket) <= len(reads) * (w + odd)
+    flips = () if by_ket else reads[:w] + [0] * odd
+    acc = {}
+    for need, want, flip, smask, r, i in terms:
+        if by_ket:
+            # t = u0 ^ f ^ flip has at most one bit, so d = u0 ^ flip at most two
+            hits = []
+            for u0, (kr, ki) in ket.items():
+                d = u0 ^ flip
+                pc = d.bit_count()
+                if pc > 2:
+                    continue
+                v = r * kr - i * ki, r * ki + i * kr
+                if pc == 0:
+                    hits += [(u0, t, t, v) for t in reads if (u0 ^ t) & need == want]
+                elif pc == 1:
+                    if empty and (u0 ^ d) & need == want:
+                        hits.append((u0, 0, d, v))
+                    if odd and u0 & need == want:
+                        hits.append((u0, d, 0, v))
+                else:
+                    lo = d & -d
+                    hits += [(u0, t, d ^ t, v) for t in (lo, d ^ lo) if (u0 ^ d ^ t) & need == want]
+        else:
+            hits = [(u0, t, f, (r * kr - i * ki, r * ki + i * kr))
+                    for t in reads for f in flips for u0 in (t ^ flip ^ f,)
+                    if u0 in ket and (u0 ^ f) & need == want for kr, ki in (ket[u0],)]
+        for u0, t, f, (vr, vi) in hits:
+            if f:
+                j = f.bit_length() - 1 + (w - low if u0 & f else low)
+                sign = (u0 & (f - 1)).bit_count() + ((u0 ^ f) & smask).bit_count()
+            else:
+                j, sign = 2 * w, u0.bit_count() + (u0 & smask).bit_count()
+            key = j, (t.bit_length() - 1 + low if t else 2 * w)
+            prev = acc.get(key, (0, 0))
+            acc[key] = (prev[0] - vr, prev[1] - vi) if sign & 1 else (prev[0] + vr, prev[1] + vi)
+    return acc
+
+
+def _certificate(space, monos, x, re, im):
+    """((nr, ni), cols) when the element x is in GPin(V), else None.
+
+    x lists the element's (mask, re, im) terms on the monomials monos of
+    an even or odd space.  For a member, x e_j beta(x) = N w_j with w_j =
+    x e_j x^-1 in V, and a vector's coordinates can be read in the Fock
+    module (`_compile`): its W-coordinates are the singleton-mask
+    components of its image of the vacuum, its W'-coordinates the same
+    components in the dual module, where each generator acts as its
+    partner does, and on the odd space the top coordinate is the vacuum
+    component.  The reads of every x e_j beta(x) take one pass over x's
+    compiled terms per module (`_vector_reads`).
+
+    These candidates W_j are then certified.  With c = <0| beta(x) x |0>
+    != 0 and c x e_j == W_j x for every j, exactly on every monomial
+    (`_fold`, `_fold_left`), beta of each identity gives
+    e_j beta(x) = beta(x) W_j / c, so beta(x) x commutes with every e_j;
+    it is even, hence a scalar, namely c.  So x is invertible,
+    x beta(x) = c = N, and x e_j x^-1 = W_j / c.  A member always passes
+    (c = N), and anything that passes is a member.  Returns c and, for
+    each j, the nonzero W_j coordinates as (k, re, im); all numerators
+    are over den^2 for x's den.  The work is O(n^2 T) for T terms.
+    """
+    dim = space.dim
+    w = dim // 2
+    odd = dim % 2
+    partner = [0] + [g + w if g <= w else g - w if g <= 2 * w else g for g in range(1, dim + 1)]
+    dual = [[partner[g] for g in m] for m in monos]
+    xs = _compiled(w, monos, re, im)
+    bs = _compiled(w, [m[::-1] for m in monos], re, im)
+    # c: beta(x)'s terms take the mask u of x|0> to 0 exactly when u == flip
+    xket = _vacuum_image(xs)
+    nr = ni = 0
+    for need, want, flip, smask, r, i in bs:
+        k = xket.get(flip)
+        if k is not None and flip & need == want:
+            vr, vi = r * k[0] - i * k[1], r * k[1] + i * k[0]
+            if (flip & smask).bit_count() & 1:
+                vr, vi = -vr, -vi
+            nr, ni = nr + vr, ni + vi
+    if not (nr or ni):
+        return None
+    reads = _vector_reads(w, xs, _vacuum_image(bs), 0, odd)
+    reads.update(_vector_reads(w, _compiled(w, dual, re, im),
+                               _vacuum_image(_compiled(w, [m[::-1] for m in dual], re, im)), w, odd))
+    cols = [[] for _ in range(dim)]
+    for (j, k), (r, s) in reads.items():
+        if r or s:
+            cols[j].append((k, r, s))
+    # every e_k x, once: a member's W is invertible, so each k is used.
+    # c x e_j - W_j x is summed per monomial m under the key m | j << dim
+    left = [_fold_left(space, k, x) for k in range(1, dim + 1)]
+    acc = {}
+    for j, col in enumerate(cols):
+        shift = j << dim
+        for m, r, s in _fold(space, x, (j + 1,)):
+            m |= shift
+            vr, vi = nr * r - ni * s, nr * s + ni * r
+            prev = acc.get(m)
+            acc[m] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
+        for k, wr, wi in col:
+            for m, r, s in left[k]:
+                m |= shift
+                vr, vi = wr * r - wi * s, wr * s + wi * r
+                prev = acc.get(m)
+                acc[m] = (-vr, -vi) if prev is None else (prev[0] - vr, prev[1] - vi)
+    if any(map(any, acc.values())):
+        return None
+    return (nr, ni), cols
 
 
 def _merge(terms):
@@ -458,9 +684,15 @@ class GPinElement:
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
     conjugation must send every basis vector back into V.  The check runs
-    on Gaussian-integer numerators (`_fold`): it folds beta(x) and
-    x*beta(x) once, and each image x e_j beta(x) straight from x's terms;
-    only the norm and the image coordinates become `GaussRat` values.  An
+    on Gaussian-integer numerators in O(n^2 T) for T terms
+    (`_certificate`): it reads the candidate images W_j = x e_j beta(x)
+    and c = <0| beta(x) x |0> in the Fock module and certifies
+    c x e_j == W_j x on every monomial, which makes x beta(x) = c the
+    norm and W_j / c the columns of pr_circ.  On a line, N = x * x and
+    pr_circ = [1].  Only when the certificate fails is x*beta(x) formed,
+    once, to name the failure: not scalar, zero, or (a nonzero scalar)
+    conjugation leaving V.  Only the norm and the image coordinates
+    become `GaussRat` values.  An
     element holds what that check verified: `elt`, `space`, `parity`,
     `_norm` (the spinor norm, read by `spinor_norm()`) and `_pr_circ` (the
     matrix of v -> x v x^{-1}, read by `pr_circ()`), plus `_spin`, the full
@@ -490,33 +722,38 @@ class GPinElement:
             raise ValueError("GPin elements must be homogeneous in the grading")
         space = elt.space
         self.elt, self.space, self.parity = elt, space, elt.parity()
-        # numerators over den (x) and den^2 (beta(x) and every product with it)
+        # numerators over den (x) and den^2 (N and the images W_j)
         den, re, im = _term_numerators(elt)
         x = [(_mask(m), r, i) for m, r, i in zip(elt.terms, re, im)]
-        b = [(_mono(m), r, i) for m, r, i in _merge(_beta_terms(space, elt.terms, re, im))]
-        nrm = _merge(_product(space, x, b))
-        if any(m for m, _, _ in nrm):
-            raise ValueError("x*beta(x) is not scalar: element is not in GPin")
-        nr, ni = (nrm[0][1], nrm[0][2]) if nrm else (0, 0)
-        if not (nr or ni):
-            raise ValueError("spinor norm is zero: element is not invertible")
+        if space.kind == "line":
+            # one term: N = x * x = x beta(x), and conjugation fixes the line
+            nrm = _merge(_product(space, x, zip(elt.terms, re, im)))
+            if not nrm:
+                raise ValueError("spinor norm is zero: element is not invertible")
+            cert = (nrm[0][1], nrm[0][2]), [[(0, nrm[0][1], nrm[0][2])]]
+        else:
+            cert = _certificate(space, list(elt.terms), x, re, im)
+        if cert is None:
+            # not a member: x beta(x), once, picks the message
+            b = [(_mono(m), r, i) for m, r, i in _merge(_beta_terms(space, elt.terms, re, im))]
+            nrm = _merge(_product(space, x, b))
+            if any(m for m, _, _ in nrm):
+                raise ValueError("x*beta(x) is not scalar: element is not in GPin")
+            if not nrm:
+                raise ValueError("spinor norm is zero: element is not invertible")
+            raise ValueError("conjugation does not stabilize V: element is not in GPin")
+        (nr, ni), cols = cert
         self._norm = _over(den * den, [nr], [ni])[0]
-        # x e_j beta(x) / N has coordinates (r + s i) / (nr + ni i): the den^2
-        # cancels.  On a line the fold multiplies by the rescaled generator
-        # D u (`_term_numerators`): it yields D times the image, written on
-        # the basis vector D u, which is the image's own coordinate on u, so
-        # lines need no correction.
+        # pr_circ's column j is W_j / N, with coordinates (r + s i) / (nr + ni i):
+        # the den^2 cancels.  Zero coordinates are left out and j grows
+        # along `at`, so the positions are the matrix's nonzero pattern
         nn, d = nr * nr + ni * ni, space.dim
         at, cr, ci = [], [], []
-        for j in range(d):
-            for m, r, s in _merge(_product(space, _merge(_fold(space, x, (j + 1,))), b)):
-                if m.bit_count() != 1:
-                    raise ValueError("conjugation does not stabilize V: element is not in GPin")
-                at.append((m.bit_length() - 1, j))
+        for j, col in enumerate(cols):
+            for i, r, s in col:
+                at.append((i, j))
                 cr.append(r * nr + s * ni)
                 ci.append(s * nr - r * ni)
-        # `_merge` drops zero sums, so every coordinate is nonzero, and j
-        # grows along `at`: the positions are the matrix's nonzero pattern
         nz = [[] for _ in range(d)]
         for (i, j), c in zip(at, _over(nn, cr, ci)):
             nz[i].append((j, c))

@@ -12,7 +12,7 @@ is what the extension-criterion checker and the torsor construction at
 the bottom of the module exercise on finite generator tables.
 """
 
-from .clifford import GPinElement, theta, theta_circ_matrix
+from .clifford import GPinElement, beta, theta, theta_circ_matrix
 from .exact import Mat, _Value
 from .rootdata import TorusCoordinates, center, theta_on_coords, torus_point
 
@@ -199,14 +199,22 @@ def check_extension_criterion(rho_gens, g):
     conjugation is tested as g * theta(val) == twisted * g, an exact
     equality that gives the same verdict as g * theta(val) * g^-1 ==
     twisted because g is invertible once g * theta(g) = 1 holds, and it
-    needs no inverse.  A value that cannot multiply g (another space, or
-    another number of columns) raises ValueError.
+    needs no inverse.  A GPin candidate is tested on Clifford elements
+    alone: g^-1 = beta(g) / N(g), so g * theta(g) = 1 reads
+    theta(g) * N(g) == beta(g), and the rows compare g * theta(val) with
+    twisted * g without composing their pr_circ matrices, which equality
+    of GPin elements never reads.  A value that cannot multiply g
+    (another space, or another number of columns) raises ValueError.
     """
     if not isinstance(g, (GPinElement, Mat)):
         raise TypeError("the candidate must be a GPinElement or a Mat")
     for val, twisted in rho_gens:
         if type(val) is not type(g) or type(twisted) is not type(g):
             raise TypeError("generator values must match the candidate's type")
+    if isinstance(g, GPinElement):
+        if theta(g).elt * g.spinor_norm() != beta(g.elt):
+            return False
+        return all(g.elt * theta(val).elt == twisted.elt * g.elt for val, twisted in rho_gens)
     if g * _theta_of(g) != g ** 0:
         return False
     return all(g * _theta_of(val) == twisted * g for val, twisted in rho_gens)

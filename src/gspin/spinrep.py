@@ -8,11 +8,12 @@ the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  Each subset is
 walked as the bitmask of the Clifford product kernel (`clifford._mask`,
 bit j - 1 for index j), so a wedge or a contraction is one bit operation
 signed by the number of set bits below it.  A whole monomial is compiled
-once into a mask test, a flip and a sign mask (`_compile`), and one
-walker, `_column`, takes a basis mask through every compiled term of an
-element, one test per term; `act` sums its columns with the vector's
-coefficients, and a spin matrix is one such walk per column, written
-straight into the matrix (`_action_matrix`).
+once into a mask test, a flip and a sign mask (`clifford._compile`,
+which the membership check of `GPinElement` uses too, to read vectors
+off the vacuum), and one walker, `_column`, takes a basis mask through
+every compiled term of an element, one test per term; `act` sums its
+columns with the vector's coefficients, and a spin matrix is one such
+walk per column, written straight into the matrix (`_action_matrix`).
 
 Basis bookkeeping follows the signed vectors b_U = (-1)^{#U} m_U.  The
 even-degree b_U (where the sign is +1, so b_U = m_U) are ordered
@@ -32,7 +33,7 @@ of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
 from __future__ import annotations
 
 from .clifford import (
-    CliffordElement, GPinElement, _mask, _mono, even_space, odd_space, theta_element,
+    CliffordElement, GPinElement, _compile, _mask, _mono, even_space, odd_space, theta_element,
 )
 from .exact import GaussRat, Mat, _Value
 from .rootdata import _eps_value, parity_subsets
@@ -43,43 +44,6 @@ _NO_MODULE = "the exterior module is defined for the even and odd spaces"
 def vacuum():
     """The vacuum vector of either module."""
     return {(): GaussRat(1)}
-
-
-def _compile(w, mono):
-    """The action of a Clifford monomial on the basis masks of the module
-    with dim W = w, as (need, want, flip, smask, odd), or None when the
-    monomial kills every mask.
-
-    Masks have bit j - 1 for index j (`clifford._mask`).  The generators
-    act last first: g <= w wedges on bit g - 1 (0 if the bit is set),
-    g <= 2w contracts bit g - w - 1 (0 if it is clear), each signed by the
-    number of set bits below it, and 2w + 1, the odd space's anisotropic
-    f_{2n-1}, multiplies by (-1)^{#U}.  Each bit's first use fixes its
-    value in the input, so the image of u is nonzero exactly when
-    u & need == want, and is then (-1)^(#(u & smask) + odd) times the
-    mask u ^ flip: each sign counts the set bits of u ^ f under some mask
-    s, where f is the part of flip made so far, and #((u ^ f) & s) has
-    the parity of #(u & s) + #(f & s).
-    """
-    need = want = flip = smask = odd = 0
-    for g in reversed(mono):
-        if g > 2 * w:
-            below = (1 << w) - 1
-        else:
-            # wedge: the bit must be clear; contraction: it must be set
-            bit = 1 << (g - 1 if g <= w else g - w - 1)
-            must = 0 if g <= w else bit
-            if need & bit:
-                if (want ^ flip) & bit != must:
-                    return None
-            else:
-                need |= bit
-                want |= must ^ (flip & bit)
-            below = bit - 1
-            flip ^= bit
-        smask ^= below
-        odd ^= (flip & below).bit_count() & 1
-    return need, want, flip, smask, odd
 
 
 def _walk_data(c):

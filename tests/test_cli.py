@@ -140,6 +140,18 @@ def test_conjugacy_and_spin_report_at_n6_n7_is_pinned():
     )
 
 
+def test_dense_membership_report_at_n6_to_n8_is_pinned():
+    # The two suites whose fully checked elements are densest at seed 7
+    # (T = 985 at n = 6, T = 828 at n = 8): the membership check's norms
+    # and vector matrices on large elements.
+    rc, out = run_cli(["verify", "--suites", "lem:CliffordMapping,lem:SurjectionOntoGSO",
+                       "--n", "6..8", "--seed", "7", "--format", "json"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "1d5e070cc473c081deb0395e56ec26cb1017b7a1d1aa2cde414837c1658b7f7c"
+    )
+
+
 def test_list_is_pinned():
     # Keys, descriptions and order of the registry as `verify --list` prints
     # them; the report's "suites" list follows the same order.

@@ -6,13 +6,13 @@ import pkgutil
 import re
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
 import gspin
-from gspin import clifford
+from gspin import clifford, suites
 from gspin.clifford import (
     CliffordElement,
     GPinElement,
@@ -228,6 +228,30 @@ def test_vector_squares_to_q():
                 assert v * v == CliffordElement.scalar(space, q)
 
 
+def quad_oracle(space, v):
+    """Q(v) as the double sum of v_j v_k <e_j, e_k> over j < k plus
+    v_j^2 Q(e_j): the definition, independent of the closed form."""
+    return sum((v[j] * v[k] * (space.q(j + 1) if j == k else space.pair(j + 1, k + 1))
+                for j in range(space.dim) for k in range(j, space.dim)), GaussRat(0))
+
+
+QUAD_SPACES = ([even_space(n) for n in range(1, 7)] + [odd_space(n) for n in range(2, 7)]
+               + [line_space(GaussRat(-3)), line_space(GaussRat(1, 2)),
+                  line_space(GaussRat(Fraction(2, 3), Fraction(1, 5)))])
+
+
+@pytest.mark.parametrize("space", QUAD_SPACES, ids=repr)
+def test_quad_closed_form_matches_double_sum(space):
+    rng = Random(101 + space.dim)
+    for _ in range(30):
+        v = [GaussRat(0) if rng.random() < 0.3 else _fraction(rng) for _ in range(space.dim)]
+        assert space.quad(v) == quad_oracle(space, v), v
+        ints = [rng.randint(-3, 3) for _ in range(space.dim)]
+        assert space.quad(ints) == quad_oracle(space, ints), ints
+    # the closed form returns a GaussRat, also for int coordinates
+    assert type(space.quad([0] * space.dim)) is GaussRat
+
+
 def test_anticommutator_is_pairing():
     rng = Random(7)
     for n in (3, 4):
@@ -326,6 +350,50 @@ def test_product_kernel_matches_recursive_push(space):
             frontier = [(m2, r * kr - i * ki, r * ki + i * kr) for m, r, i in frontier
                         for m2, kr, ki in push_generator_oracle(space, m, g)]
         assert beta(x) == oracle_element(space, frontier, len(mono)), mono
+
+
+@pytest.mark.parametrize("space", KERNEL_SPACES, ids=repr)
+def test_left_fold_matches_generator_product(space):
+    # e_g * x from `_fold_left` against the product through `_fold`, on
+    # every monomial and on random sums of monomials; the kernel's
+    # generator is D * (basis vector) for D = space.scale
+    rng = Random(97 + space.dim)
+    monos = all_monomials(space)
+    elements = [CliffordElement.monomial(space, m, _fraction(rng) or 1) for m in monos]
+    elements += [CliffordElement(space, {m: _fraction(rng)
+                                         for m in rng.sample(monos, min(3, len(monos)))})
+                 for _ in range(10)]
+    for x in elements:
+        den, re, im = clifford._term_numerators(x)
+        terms = [(clifford._mask(m), r, i) for m, r, i in zip(x.terms, re, im)]
+        for g in range(1, space.dim + 1):
+            got = clifford._from_numerators(space, clifford._fold_left(space, g, terms), den)
+            assert got == gen(space, g) * x * space.scale, (x, g)
+
+
+@pytest.mark.parametrize("space", [even_space(5), even_space(6), odd_space(6), odd_space(7)],
+                         ids=repr)
+def test_vector_reads_agree_from_either_side(space):
+    # `_vector_reads` meets each term from the ket's side when the ket is
+    # small and from the read masks' side when it is large.  The reads are
+    # linear in the ket, so a ket on every mask (read from the masks' side)
+    # must read the sum of its one-entry parts (each read from its own)
+    rng = Random(113 + space.dim)
+    w, odd = space.dim // 2, space.dim % 2
+    monos = rng.sample(all_monomials(space), 40)
+    re = [rng.randint(-3, 3) for _ in monos]
+    im = [rng.randint(-3, 3) for _ in monos]
+    terms = clifford._compiled(w, monos, re, im)
+    ket = {u: (rng.randint(1, 4), rng.randint(-2, 2)) for u in range(1 << w)}
+    for low in (0, w):
+        whole = clifford._vector_reads(w, terms, ket, low, odd)
+        parts = {}
+        for u, v in ket.items():
+            for key, (r, i) in clifford._vector_reads(w, terms, {u: v}, low, odd).items():
+                prev = parts.get(key, (0, 0))
+                parts[key] = (prev[0] + r, prev[1] + i)
+        assert {k: v for k, v in whole.items() if any(v)} == {k: v for k, v in parts.items() if any(v)}
+        assert any(any(v) for v in whole.values())
 
 
 # ----------------------------------------------------------- GPin, norms
@@ -437,8 +505,8 @@ def fractional_vector(space, rng):
 
 # lines with a Gaussian-integer Q and with scale 15
 FRACTIONAL_LINE = line_space(GaussRat(Fraction(2, 3), Fraction(1, 5)))
-CHECK_SPACES = [even_space(2), even_space(3), even_space(4), odd_space(2), odd_space(3),
-                odd_space(4), line_space(GaussRat(-3)), line_space(GaussRat(1, 2)), FRACTIONAL_LINE]
+CHECK_SPACES = ([even_space(n) for n in range(2, 7)] + [odd_space(n) for n in range(2, 7)]
+                + [line_space(GaussRat(-3)), line_space(GaussRat(1, 2)), FRACTIONAL_LINE])
 
 
 @pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
@@ -472,7 +540,7 @@ def test_membership_check_matches_oracle_on_random_elements(space):
             for _ in range(rng.randint(1, 3)):
                 terms[rng.choice([m for m in monos if len(m) % 2 == parity])] = 1
         x = x + CliffordElement(space, {m: _fraction(rng) for m in terms})
-        fast = _outcome(lambda e: (lambda g: (g.spinor_norm(), g.pr_circ()))(GPinElement(e)), x)
+        fast = _member_outcome(x)
         assert fast == _outcome(membership_oracle, x), x
         outcomes.add(fast if isinstance(fast, str) else "member")
     # on a line every nonzero homogeneous element is a member
@@ -504,6 +572,16 @@ NON_MEMBERS = [
     # 2 + w1...w6 for an orthogonal basis w of span(f1..f6) in the odd space
     # of dim 7: w1...w6 anticommutes with that span
     (2 + odd_volume(), "conjugation does not stabilize V: element is not in GPin"),
+    (gen(even_space(5), 1) + gen(even_space(5), 6) * gen(even_space(5), 7),
+     "GPin elements must be homogeneous in the grading"),
+    # isotropic vectors, in the even and the odd space
+    (gen(even_space(4), 2) + gen(even_space(4), 3) * 5, "spinor norm is zero: element is not invertible"),
+    (gen(odd_space(4), 1) - gen(odd_space(4), 6), "spinor norm is zero: element is not invertible"),
+    # e_i e_{n+i} kills the vacuum, and x beta(x) = e_i e_{n+i} e_{n+i} e_i = 0
+    (gen(even_space(3), 2) * gen(even_space(3), 5), "spinor norm is zero: element is not invertible"),
+    (gen(odd_space(3), 1) * gen(odd_space(3), 3), "spinor norm is zero: element is not invertible"),
+    # beta(x) x = e_2 e_1 e_1 e_2 = 0
+    (gen(even_space(3), 1) * gen(even_space(3), 2), "spinor norm is zero: element is not invertible"),
 ]
 
 
@@ -513,6 +591,87 @@ def test_membership_check_messages_match_oracle(elt, message):
     with pytest.raises(ValueError) as err:
         GPinElement(elt)
     assert str(err.value) == message
+
+
+def _member_outcome(elt):
+    """The membership check's verdict in the oracle's shape."""
+    return _outcome(lambda e: (lambda g: (g.spinor_norm(), g.pr_circ()))(GPinElement(e)), elt)
+
+
+def dense_clifford_mapping_element():
+    """The T = 985 element that `lem:CliffordMapping` checks at n = 6 for
+    seed 7: i_std of the product of its second pair of odd elements."""
+    rng = Random("7:lem:CliffordMapping:6")
+    so = std_split(6).source1
+    for _ in range(12):
+        random_vector(so, rng, anisotropic=False, span=5, nnz=so.dim)
+    for _ in range(2):
+        g, h = suites._rand_gspin_odd(6, rng), suites._rand_gspin_odd(6, rng)
+    return std_split(6).embed1((g * h).elt)
+
+
+def test_membership_check_matches_oracle_on_the_dense_element():
+    x = dense_clifford_mapping_element()
+    assert len(x.terms) == 985
+    g = GPinElement(x)
+    assert (g.spinor_norm(), g.pr_circ()) == membership_oracle(x)
+    assert_exact_pattern(g.pr_circ())
+
+
+@pytest.mark.parametrize("space", CHECK_SPACES, ids=repr)
+def test_membership_check_matches_oracle_on_tampered_members(space):
+    # a member with one coefficient scaled, or with one monomial of the
+    # same parity added: almost never a member, and the verdict and the
+    # message must be the oracle's
+    rng = Random(131 + 10 * space.dim + len(space.kind))
+    monos = all_monomials(space)
+    outcomes = []
+    for k in range(12):
+        x = fractional_vector(space, rng)
+        for _ in range(rng.randint(0, 2)):
+            x = x * fractional_vector(space, rng)
+        terms = dict(x.terms)
+        if k % 2:
+            m = rng.choice(sorted(terms))
+            terms[m] = terms[m] * rng.choice((2, -3, GaussRat(1, 1)))
+        else:
+            parity = len(next(iter(terms))) % 2
+            m = rng.choice([m for m in monos if len(m) % 2 == parity])
+            terms[m] = terms.get(m, GaussRat(0)) + _fraction(rng)
+        x = CliffordElement(space, terms)
+        got = _member_outcome(x)
+        assert got == _outcome(membership_oracle, x), x
+        outcomes.append(got if isinstance(got, str) else "member")
+    # in V_3 (and on lines) nearly every homogeneous element is a member
+    if space.dim >= 4:
+        assert outcomes.count("member") < len(outcomes), outcomes
+
+
+_ZERO_NORM = "spinor norm is zero: element is not invertible"
+_NOT_SCALAR = "x*beta(x) is not scalar: element is not in GPin"
+
+
+@pytest.mark.parametrize("space, counts", [
+    (even_space(1), {"member": 19, _ZERO_NORM: 11}),
+    # C(V_3) has no homogeneous non-member with a nonzero norm
+    (odd_space(2), {"member": 258, _ZERO_NORM: 90}),
+    (even_space(2), {"member": 563, _ZERO_NORM: 1645, _NOT_SCALAR: 1368}),
+], ids=lambda v: repr(v)[:30])
+def test_membership_check_matches_oracle_on_every_small_sum(space, counts):
+    # every sum of at most three monomials of one parity with coefficients
+    # in {1, -1, 2}, with the verdict counts the oracle gives
+    outcomes = {}
+    for parity in (0, 1):
+        monos = [m for m in all_monomials(space) if len(m) % 2 == parity]
+        for size in (1, 2, 3):
+            for support in combinations(monos, size):
+                for coeffs in product((1, -1, 2), repeat=size):
+                    x = CliffordElement(space, dict(zip(support, coeffs)))
+                    got = _member_outcome(x)
+                    assert got == _outcome(membership_oracle, x), x
+                    key = got if isinstance(got, str) else "member"
+                    outcomes[key] = outcomes.get(key, 0) + 1
+    assert outcomes == counts
 
 
 def test_product_across_spaces_of_equal_dimension_is_rejected():

@@ -298,7 +298,9 @@ def test_extension_classes_trivial_module():
 
 def _conjugation_oracle(rho_gens, g):
     """The criterion as g * theta(g) = 1 and g * theta(val) * g^-1 = twisted,
-    through an explicit inverse (the conjugation route)."""
+    through an explicit inverse (the conjugation route).  For a GPin
+    candidate the criterion itself tests theta(g) N(g) == beta(g) and
+    compares Clifford elements; this route multiplies GPin elements."""
     if isinstance(g, GPinElement):
         th, one, inv = theta, GPinElement(CliffordElement.one(g.space)), GPinElement.inverse
     else:
@@ -330,6 +332,10 @@ def _gspin_cases(n, seed):
     scale = torus_point(scalar_in_coords(n, GaussRat(2)))
     tampered = [(v, tw * scale) for v, tw in rho]
     swapped = [(rho[0][0], rho[1][1]), rho[1]]
+    # sqrt(-1) g0 is in GPin and commutes with the same values, but
+    # (i g0) theta(i g0) = -1
+    minus = GPinElement(CliffordElement.scalar(even_space(n), I)) * g0
+    assert (minus * theta(minus)).elt == CliffordElement.scalar(even_space(n), -1)
     return [
         (rho, g0, True),
         (rho, torus_point(zeta_coords(n)) * g0, True),
@@ -338,6 +344,8 @@ def _gspin_cases(n, seed):
         (tampered, g0, False),
         (swapped, g0, False),
         ([], g0, True),
+        (rho, minus, False),
+        ([], minus, False),
     ]
 
 

@@ -21,7 +21,7 @@ from gspin.clifford import (
     theta,
     theta_element,
 )
-from gspin import spinrep
+from gspin import clifford, spinrep
 from gspin.conjugacy import fingerprint
 from gspin.exact import SQRT_M1, GaussRat, Mat, inverse, rank
 from gspin.spinrep import (
@@ -301,7 +301,7 @@ def test_act_of_monomial_is_generators_right_to_left(space):
 
 
 def _apply_monomial(w, mono, u):
-    """Oracle for `spinrep._compile`: walk the basis mask u through a
+    """Oracle for `clifford._compile`: walk the basis mask u through a
     Clifford monomial one generator at a time, last generator first.
 
     w = dim W and u has bit j - 1 for index j.  Generator g <= w wedges on
@@ -340,7 +340,7 @@ def test_compiled_monomial_matches_generator_walk(space):
     w = space.n if space.kind == "even" else space.n - 1
     for r in range(space.dim + 1):
         for mono in combinations(range(1, space.dim + 1), r):
-            walk = spinrep._compile(w, mono)
+            walk = clifford._compile(w, mono)
             for u in range(1 << w):
                 hit = _apply_monomial(w, mono, u)
                 if walk is None or u & walk[0] != walk[1]:
