@@ -18,7 +18,7 @@ Products and ``beta`` share that kernel (`_product`, `_beta_terms`,
 `_merge`).  The membership check of ``GPinElement`` reads candidate
 images of the basis vectors in the Fock module (`_compile`, on the same
 masks) and certifies them with the kernel in time linear in the number
-of terms (`_certificate`).  On top of the algebra
+of terms and in the size of a vacuum image (`_certificate`).  On top of the algebra
 sit the group elements (``GPinElement``: homogeneous, invertible,
 stabilizing V under conjugation), the spinor norm, the vector representation pr_circ
 (twisted conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the
@@ -338,39 +338,30 @@ def _vector_reads(w, terms, ket, low, odd):
     bit b of a ket mask u0, whichever of them can act, and on the odd
     space e_{2w+1} flips nothing.  A term with flip f' then lands on
     u0 ^ f ^ f', so a hit is a ket mask u0, a generator flip f and a read
-    mask t with u0 ^ f ^ f' == t.  Each term finds its hits from
-    whichever side is smaller: the ket masks within two bits of f', or
-    every (t, f).
+    mask t with u0 ^ f ^ f' == t: t has at most one bit and f one, so
+    only the ket masks within two bits of f' can hit.
     """
     empty = odd and not low
     reads = [1 << b for b in range(w)] + [0] * empty
-    by_ket = len(ket) <= len(reads) * (w + odd)
-    flips = () if by_ket else reads[:w] + [0] * odd
     acc = {}
     for need, want, flip, smask, r, i in terms:
-        if by_ket:
-            # t = u0 ^ f ^ flip has at most one bit, so d = u0 ^ flip at most two
-            hits = []
-            for u0, (kr, ki) in ket.items():
-                d = u0 ^ flip
-                pc = d.bit_count()
-                if pc > 2:
-                    continue
-                v = r * kr - i * ki, r * ki + i * kr
-                if pc == 0:
-                    hits += [(u0, t, t, v) for t in reads if (u0 ^ t) & need == want]
-                elif pc == 1:
-                    if empty and (u0 ^ d) & need == want:
-                        hits.append((u0, 0, d, v))
-                    if odd and u0 & need == want:
-                        hits.append((u0, d, 0, v))
-                else:
-                    lo = d & -d
-                    hits += [(u0, t, d ^ t, v) for t in (lo, d ^ lo) if (u0 ^ d ^ t) & need == want]
-        else:
-            hits = [(u0, t, f, (r * kr - i * ki, r * ki + i * kr))
-                    for t in reads for f in flips for u0 in (t ^ flip ^ f,)
-                    if u0 in ket and (u0 ^ f) & need == want for kr, ki in (ket[u0],)]
+        hits = []
+        for u0, (kr, ki) in ket.items():
+            d = u0 ^ flip
+            pc = d.bit_count()
+            if pc > 2:
+                continue
+            v = r * kr - i * ki, r * ki + i * kr
+            if pc == 0:
+                hits += [(u0, t, t, v) for t in reads if (u0 ^ t) & need == want]
+            elif pc == 1:
+                if empty and (u0 ^ d) & need == want:
+                    hits.append((u0, 0, d, v))
+                if odd and u0 & need == want:
+                    hits.append((u0, d, 0, v))
+            else:
+                lo = d & -d
+                hits += [(u0, t, d ^ t, v) for t in (lo, d ^ lo) if (u0 ^ d ^ t) & need == want]
         for u0, t, f, (vr, vi) in hits:
             if f:
                 j = f.bit_length() - 1 + (w - low if u0 & f else low)
@@ -394,7 +385,8 @@ def _certificate(space, monos, x, re, im):
     components in the dual module, where each generator acts as its
     partner does, and on the odd space the top coordinate is the vacuum
     component.  The reads of every x e_j beta(x) take one pass over x's
-    compiled terms per module (`_vector_reads`).
+    compiled terms per module (`_vector_reads`), each term meeting the K
+    masks of beta(x)'s image of the vacuum (or of its dual), K <= 2^n.
 
     These candidates W_j are then certified.  With c = <0| beta(x) x |0>
     != 0 and c x e_j == W_j x for every j, exactly on every monomial
@@ -404,7 +396,7 @@ def _certificate(space, monos, x, re, im):
     x beta(x) = c = N, and x e_j x^-1 = W_j / c.  A member always passes
     (c = N), and anything that passes is a member.  Returns c and, for
     each j, the nonzero W_j coordinates as (k, re, im); all numerators
-    are over den^2 for x's den.  The work is O(n^2 T) for T terms.
+    are over den^2 for x's den.  The work is O(n^2 T + K T) for T terms.
     """
     dim = space.dim
     w = dim // 2
@@ -432,25 +424,22 @@ def _certificate(space, monos, x, re, im):
     for (j, k), (r, s) in reads.items():
         if r or s:
             cols[j].append((k, r, s))
-    # every e_k x, once: a member's W is invertible, so each k is used.
-    # c x e_j - W_j x is summed per monomial m under the key m | j << dim
+    # every e_k x, once: a member's W is invertible, so each k is used
     left = [_fold_left(space, k, x) for k in range(1, dim + 1)]
-    acc = {}
     for j, col in enumerate(cols):
-        shift = j << dim
+        # c x e_j - W_j x, summed per monomial
+        acc = {}
         for m, r, s in _fold(space, x, (j + 1,)):
-            m |= shift
             vr, vi = nr * r - ni * s, nr * s + ni * r
             prev = acc.get(m)
             acc[m] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
         for k, wr, wi in col:
             for m, r, s in left[k]:
-                m |= shift
                 vr, vi = wr * r - wi * s, wr * s + wi * r
                 prev = acc.get(m)
                 acc[m] = (-vr, -vi) if prev is None else (prev[0] - vr, prev[1] - vi)
-    if any(map(any, acc.values())):
-        return None
+        if any(map(any, acc.values())):
+            return None
     return (nr, ni), cols
 
 
@@ -684,8 +673,8 @@ class GPinElement:
     Membership is verified eagerly at construction: the element must be
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
     conjugation must send every basis vector back into V.  The check runs
-    on Gaussian-integer numerators in O(n^2 T) for T terms
-    (`_certificate`): it reads the candidate images W_j = x e_j beta(x)
+    on Gaussian-integer numerators in O(n^2 T + K T) for T terms and
+    the K <= 2^n masks of beta(x)'s image of the vacuum (`_certificate`): it reads the candidate images W_j = x e_j beta(x)
     and c = <0| beta(x) x |0> in the Fock module and certifies
     c x e_j == W_j x on every monomial, which makes x beta(x) = c the
     norm and W_j / c the columns of pr_circ.  On a line, N = x * x and

@@ -371,31 +371,6 @@ def test_left_fold_matches_generator_product(space):
             assert got == gen(space, g) * x * space.scale, (x, g)
 
 
-@pytest.mark.parametrize("space", [even_space(5), even_space(6), odd_space(6), odd_space(7)],
-                         ids=repr)
-def test_vector_reads_agree_from_either_side(space):
-    # `_vector_reads` meets each term from the ket's side when the ket is
-    # small and from the read masks' side when it is large.  The reads are
-    # linear in the ket, so a ket on every mask (read from the masks' side)
-    # must read the sum of its one-entry parts (each read from its own)
-    rng = Random(113 + space.dim)
-    w, odd = space.dim // 2, space.dim % 2
-    monos = rng.sample(all_monomials(space), 40)
-    re = [rng.randint(-3, 3) for _ in monos]
-    im = [rng.randint(-3, 3) for _ in monos]
-    terms = clifford._compiled(w, monos, re, im)
-    ket = {u: (rng.randint(1, 4), rng.randint(-2, 2)) for u in range(1 << w)}
-    for low in (0, w):
-        whole = clifford._vector_reads(w, terms, ket, low, odd)
-        parts = {}
-        for u, v in ket.items():
-            for key, (r, i) in clifford._vector_reads(w, terms, {u: v}, low, odd).items():
-                prev = parts.get(key, (0, 0))
-                parts[key] = (prev[0] + r, prev[1] + i)
-        assert {k: v for k, v in whole.items() if any(v)} == {k: v for k, v in parts.items() if any(v)}
-        assert any(any(v) for v in whole.values())
-
-
 # ----------------------------------------------------------- GPin, norms
 
 def test_spinor_norm_of_scalar_is_square():
