@@ -17,9 +17,9 @@ stored; ``terms`` keys stay sorted tuples, and nothing is memoized.
 Products and ``beta`` share that kernel (`_product`, `_beta_terms`,
 `_merge`).  The membership check of ``GPinElement`` reads candidate
 images of the basis vectors in the Fock module (`_compile`, on the same
-masks) and certifies them with the kernel in time linear in the number
-of terms and in the size of a vacuum image (`_certificate`).  On top of the algebra
-sit the group elements (``GPinElement``: homogeneous, invertible,
+masks) and certifies them with the kernel, in O(n^2 T + K T) for T
+terms and K masks of a vacuum image (`_certificate`).  On top of the
+algebra sit the group elements (``GPinElement``: homogeneous, invertible,
 stabilizing V under conjugation), the spinor norm, the vector representation pr_circ
 (twisted conjugation v -> x v beta(x) is spinor_norm() * pr_circ()), the
 graded embedding ``c_phi`` of an orthogonal decomposition, the standard
@@ -674,8 +674,9 @@ class GPinElement:
     homogeneous, x*beta(x) must be a nonzero scalar (the spinor norm), and
     conjugation must send every basis vector back into V.  The check runs
     on Gaussian-integer numerators in O(n^2 T + K T) for T terms and
-    the K <= 2^n masks of beta(x)'s image of the vacuum (`_certificate`): it reads the candidate images W_j = x e_j beta(x)
-    and c = <0| beta(x) x |0> in the Fock module and certifies
+    the K <= 2^n masks of beta(x)'s image of the vacuum (`_certificate`):
+    it reads the candidate images W_j = x e_j beta(x) and
+    c = <0| beta(x) x |0> in the Fock module and certifies
     c x e_j == W_j x on every monomial, which makes x beta(x) = c the
     norm and W_j / c the columns of pr_circ.  On a line, N = x * x and
     pr_circ = [1].  Only when the certificate fails is x*beta(x) formed,
