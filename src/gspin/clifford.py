@@ -16,8 +16,9 @@ numerators and back, so this module never reads how a ``GaussRat`` is
 stored; ``terms`` keys stay sorted tuples, and nothing is memoized.
 Products and ``beta`` share that kernel (`_product`, `_beta_terms`,
 `_merge`).  The membership check of ``GPinElement`` reads candidate
-images of the basis vectors in the Fock module (`_compile`, on the same
-masks) and certifies them with the kernel, in O(n^2 T + K T) for T
+images of the basis vectors in the Fock module (`_compiled` terms on
+the same masks and numerators, walked by `_column`, which `spinrep`
+shares) and certifies them with the kernel, in O(n^2 T + K T) for T
 terms and K masks of a vacuum image (`_certificate`).  On top of the
 algebra sit the group elements (``GPinElement``: homogeneous, invertible,
 stabilizing V under conjugation), the spinor norm, the vector representation pr_circ
@@ -215,8 +216,8 @@ def _fold(space, frontier, gens):
     them back into tuples.  The membership check of `GPinElement` uses
     `_fold` and its left-hand mirror `_fold_left` to certify x e_j ==
     w_j x (`_certificate`), and reads the candidates w_j in the Fock
-    module on the same masks (`_compile`), which `spinrep._column` walks
-    too.  `_mask` and `_mono` are the only conversions.
+    module on the same masks (`_column`).  `_mask` and `_mono` are the
+    only conversions.
     """
     dim, h, top = space.dim, space.dim // 2, space._top_q
     for g in gens:
@@ -278,7 +279,7 @@ def _compile(w, mono):
     u & need == want, and is then (-1)^(#(u & smask) + odd) times the
     mask u ^ flip: each sign counts the set bits of u ^ f under some mask
     s, where f is the part of flip made so far, and #((u ^ f) & s) has
-    the parity of #(u & s) + #(f & s).
+    the parity of #(u & s) + #(f & s).  Only `_compiled` calls it.
     """
     need = want = flip = smask = odd = 0
     for g in reversed(mono):
@@ -314,15 +315,20 @@ def _compiled(w, words, re, im):
     return out
 
 
-def _vacuum_image(terms):
-    """{mask: (re, im)}: the compiled terms applied to the vacuum, the
-    empty mask, which a term moves exactly when want == 0, onto flip."""
-    ket = {}
+def _column(terms, u):
+    """{mask: (re, im)}: the compiled terms applied to the basis mask u,
+    summed on ints per target mask, zero sums kept: one test per term.
+    The one walker of the Fock module, for `spinrep` too; on the vacuum,
+    u = 0, a term hits exactly when want == 0 and lands on flip."""
+    acc = {}
     for need, want, flip, smask, r, i in terms:
-        if not want:
-            prev = ket.get(flip)
-            ket[flip] = (r, i) if prev is None else (prev[0] + r, prev[1] + i)
-    return {u: v for u, v in ket.items() if v[0] or v[1]}
+        if u & need == want:
+            if (u & smask).bit_count() & 1:
+                r, i = -r, -i
+            target = u ^ flip
+            prev = acc.get(target)
+            acc[target] = (r, i) if prev is None else (prev[0] + r, prev[1] + i)
+    return acc
 
 
 def _vector_reads(w, terms, ket, low, odd):
@@ -343,10 +349,11 @@ def _vector_reads(w, terms, ket, low, odd):
     """
     empty = odd and not low
     reads = [1 << b for b in range(w)] + [0] * empty
+    ket = [(u0, kr, ki) for u0, (kr, ki) in ket.items() if kr or ki]
     acc = {}
     for need, want, flip, smask, r, i in terms:
         hits = []
-        for u0, (kr, ki) in ket.items():
+        for u0, kr, ki in ket:
             d = u0 ^ flip
             pc = d.bit_count()
             if pc > 2:
@@ -406,7 +413,7 @@ def _certificate(space, monos, x, re, im):
     xs = _compiled(w, monos, re, im)
     bs = _compiled(w, [m[::-1] for m in monos], re, im)
     # c: beta(x)'s terms take the mask u of x|0> to 0 exactly when u == flip
-    xket = _vacuum_image(xs)
+    xket = _column(xs, 0)
     nr = ni = 0
     for need, want, flip, smask, r, i in bs:
         k = xket.get(flip)
@@ -417,9 +424,9 @@ def _certificate(space, monos, x, re, im):
             nr, ni = nr + vr, ni + vi
     if not (nr or ni):
         return None
-    reads = _vector_reads(w, xs, _vacuum_image(bs), 0, odd)
+    reads = _vector_reads(w, xs, _column(bs, 0), 0, odd)
     reads.update(_vector_reads(w, _compiled(w, dual, re, im),
-                               _vacuum_image(_compiled(w, [m[::-1] for m in dual], re, im)), w, odd))
+                               _column(_compiled(w, [m[::-1] for m in dual], re, im), 0), w, odd))
     cols = [[] for _ in range(dim)]
     for (j, k), (r, s) in reads.items():
         if r or s:

@@ -7,13 +7,13 @@ index subsets U of {1..n} (strictly increasing tuples) to coefficients;
 the monomial for U is m_U = e_{u_1} ^ ... ^ e_{u_r}.  Each subset is
 walked as the bitmask of the Clifford product kernel (`clifford._mask`,
 bit j - 1 for index j), so a wedge or a contraction is one bit operation
-signed by the number of set bits below it.  A whole monomial is compiled
-once into a mask test, a flip and a sign mask (`clifford._compile`,
-which the membership check of `GPinElement` uses too, to read vectors
-off the vacuum), and one walker, `_column`, takes a basis mask through
-every compiled term of an element, one test per term; `act` sums its
-columns with the vector's coefficients, and a spin matrix is one such
-walk per column, written straight into the matrix (`_action_matrix`).
+signed by the number of set bits below it.  `clifford` owns the walk:
+it compiles each term of an element once, on Gaussian-integer
+numerators (`clifford._compiled`, as for the membership check), and its
+one walker, `clifford._column`, sums the images of a basis mask on ints,
+one test per term.  `act` sums its columns with the vector's numerators,
+and a spin matrix is one walk per column, written straight into the
+matrix (`_action_matrix`); sums stay integers until one `exact._over`.
 
 Basis bookkeeping follows the signed vectors b_U = (-1)^{#U} m_U.  The
 even-degree b_U (where the sign is +1, so b_U = m_U) are ordered
@@ -33,9 +33,10 @@ of {1..n-1}, with the anisotropic generator f_{2n-1} acting by parity:
 from __future__ import annotations
 
 from .clifford import (
-    CliffordElement, GPinElement, _compile, _mask, _mono, even_space, odd_space, theta_element,
+    CliffordElement, GPinElement, _column, _compiled, _mask, _mono, _term_numerators, even_space,
+    odd_space, theta_element,
 )
-from .exact import GaussRat, Mat, _Value
+from .exact import GaussRat, Mat, _as_gauss, _numerators, _over, _Value
 from .rootdata import _eps_value, parity_subsets
 
 _NO_MODULE = "the exterior module is defined for the even and odd spaces"
@@ -47,56 +48,40 @@ def vacuum():
 
 
 def _walk_data(c):
-    """(w, terms) for the element c, after act's type and space-kind checks:
-    w = dim W, and the terms of `_column`: (need, want, flip, smask, x, -x)
-    for each term x m whose monomial m does not kill every mask
-    (`_compile`), with x and -x swapped when odd is 1, so a signed image
-    is picked, never multiplied."""
+    """(w, den, terms) for the element c, after act's type and space-kind
+    checks: w = dim W and c's terms compiled (`_compiled`) over den."""
     if not isinstance(c, CliffordElement):
         raise TypeError("act expects a CliffordElement")
     space = c.space
     if space.kind not in ("even", "odd"):
         raise ValueError(_NO_MODULE)
     w = space.n if space.kind == "even" else space.n - 1
-    terms = []
-    for mono, x in c.terms.items():
-        walk = _compile(w, mono)
-        if walk is not None:
-            need, want, flip, smask, odd = walk
-            terms.append((need, want, flip, smask) + ((-x, x) if odd else (x, -x)))
-    return w, terms
-
-
-def _column(terms, u):
-    """The image of the basis mask u as {mask: coefficient}, zero sums kept:
-    one test per term."""
-    acc = {}
-    for need, want, flip, smask, pos, neg in terms:
-        if u & need == want:
-            target = u ^ flip
-            x = neg if (u & smask).bit_count() & 1 else pos
-            prev = acc.get(target)
-            acc[target] = x if prev is None else prev + x
-    return acc
+    den, re, im = _term_numerators(c)
+    return w, den, _compiled(w, c.terms, re, im)
 
 
 def act(c, vec):
-    """Apply a Clifford element to a module vector (sparse subset dict)."""
-    w, terms = _walk_data(c)
+    """Apply a Clifford element to a module vector (sparse subset dict of
+    int, Fraction or GaussRat coefficients)."""
+    w, den, terms = _walk_data(c)
     for u in vec:
-        if any(not (1 <= j <= w) for j in u):
+        if any(type(j) is not int or not 1 <= j <= w for j in u):
             raise ValueError("module vector indices out of range for this space")
         if any(a >= b for a, b in zip(u, u[1:])):
             raise ValueError("module vector keys must be strictly increasing index tuples")
+    coeffs = list(map(_as_gauss, vec.values()))
+    if None in coeffs:
+        raise TypeError("module vector coefficients must be int, Fraction or GaussRat")
+    vden, vre, vim = _numerators(coeffs)
     acc = {}
-    for u, v in vec.items():
-        unit = v == 1  # a unit coefficient needs no product
-        for m, x in _column(terms, _mask(u)).items():
-            if not unit:
-                x = v * x
+    for u, a, b in zip(vec, vre, vim):
+        for m, (r, i) in _column(terms, _mask(u)).items():
+            vr, vi = a * r - b * i, a * i + b * r
             prev = acc.get(m)
-            acc[m] = x if prev is None else prev + x
-    return {_mono(m): v for m, v in acc.items() if v}
+            acc[m] = (vr, vi) if prev is None else (prev[0] + vr, prev[1] + vi)
+    hits = [m for m, (r, i) in acc.items() if r or i]
+    values = _over(den * vden, [acc[m][0] for m in hits], [acc[m][1] for m in hits])
+    return dict(zip(map(_mono, hits), values))
 
 
 def _action_matrix(c, src, dst):
@@ -105,20 +90,26 @@ def _action_matrix(c, src, dst):
     src and dst are sequences of module basis subsets; column k is the
     image of src[k] in dst coordinates, one `_column` walk per column.
     Walking the columns in order appends each row's entries in increasing
-    column order, so the walk writes the nonzero pattern directly.
+    column order, so the walk writes the nonzero pattern directly.  The
+    distinct nonzero sums, which repeat for a sparse element, become
+    GaussRat values in one `_over` call.
     Raises ValueError if an image has a nonzero component outside dst.
     """
-    _, terms = _walk_data(c)
+    _, den, terms = _walk_data(c)
     index = {_mask(u): k for k, u in enumerate(dst)}
-    nz = [[] for _ in dst]
+    hits = []
     for j, u in enumerate(src):
         for m, x in _column(terms, _mask(u)).items():
-            if not x:
-                continue
-            k = index.get(m)
-            if k is None:
-                raise ValueError("the module action leaves the target basis")
-            nz[k].append((j, x))
+            if x[0] or x[1]:
+                k = index.get(m)
+                if k is None:
+                    raise ValueError("the module action leaves the target basis")
+                hits.append((k, j, x))
+    sums = dict.fromkeys(x for _, _, x in hits)
+    value = dict(zip(sums, _over(den, [r for r, _ in sums], [i for _, i in sums])))
+    nz = [[] for _ in dst]
+    for k, j, x in hits:
+        nz[k].append((j, value[x]))
     return Mat._sparse(len(src), nz)
 
 

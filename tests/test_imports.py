@@ -1,7 +1,7 @@
 """Every import of a gspin module is at top level and used by that module, the
 package exports exactly the names it imports, no gspin module uses
-floating point, and only `exact.py` knows how a `GaussRat` and a `Mat` are
-stored."""
+floating point, only `exact.py` knows how a `GaussRat` and a `Mat` are
+stored, and only `clifford.py` compiles and walks the Fock-module terms."""
 
 import ast
 import importlib
@@ -123,6 +123,45 @@ def test_matrix_format_read_is_reported():
     source = ("a = m._nz[0]\nb = Mat._raw(rows)\nc = m._pattern()\n"
               "d = CliffordElement._raw(s, t)\n_nz = _raw = 1\n")
     assert _matrix_format_reads(source) == [(1, "_nz"), (2, "Mat._raw"), (3, "_pattern")]
+
+
+def _fock_walks(source):
+    """(line, what) for each call of a function `_compile`, by name or as
+    an attribute, and each definition of a function `_column`: the
+    builders and the walker of the compiled Fock-module terms."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "_compile":
+                found.append((node.lineno, "_compile()"))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "_column":
+            found.append((node.lineno, "def _column"))
+    return sorted(found)
+
+
+NOT_CLIFFORD = [p for p in PACKAGE if p.name != "clifford.py"]
+
+
+@pytest.mark.parametrize("path", NOT_CLIFFORD, ids=[p.name for p in NOT_CLIFFORD])
+def test_only_clifford_compiles_and_walks_fock_terms(path):
+    # other modules take compiled terms from clifford._compiled and walk
+    # them with clifford._column
+    assert _fock_walks(path.read_text(encoding="utf-8")) == []
+
+
+def test_clifford_keeps_the_one_fock_walker():
+    found = _fock_walks((PACKAGE[0].parent / "clifford.py").read_text(encoding="utf-8"))
+    assert [what for _, what in found].count("def _column") == 1
+    assert "_compile()" in {what for _, what in found}
+
+
+def test_fock_walk_is_reported():
+    source = ("t = _compile(w, m)\nu = clifford._compile(w, m)\n"
+              "def _column(terms, u):\n    return terms\n"
+              "f = _compile\n_column = _compiled(w, m, r, i)\n")
+    assert _fock_walks(source) == [(1, "_compile()"), (2, "_compile()"), (3, "def _column")]
 
 
 def _function_level_imports(source):

@@ -210,6 +210,26 @@ def test_act_index_out_of_range():
         act(gen(sp, 1), {(4,): ONE})
 
 
+def test_act_rejects_indices_that_are_not_ints():
+    # the same keys that CliffordElement rejects as monomials
+    sp = even_space(4)
+    for u in ((True,), (1.0,), ("1",)):
+        with pytest.raises(ValueError, match="module vector indices out of range"):
+            act(gen(sp, 4), {u: ONE})
+        with pytest.raises(ValueError):
+            CliffordElement(sp, {u: ONE})
+
+
+def test_act_rejects_coefficients_that_are_not_exact():
+    # rejected whatever the value, unit and zero values included
+    sp = even_space(3)
+    for v in (1.0, True, 2.5, 0.0, False, "1", 1j):
+        with pytest.raises(TypeError, match="module vector coefficients"):
+            act(gen(sp, 1), {(): v})
+        with pytest.raises(TypeError, match="module vector coefficients"):
+            act(gen(sp, 1), {(2,): ONE, (): v})
+
+
 def test_act_rejects_unsorted_or_repeated_indices():
     # The walk turns each key into a bitmask, which forgets order and
     # repeats, so act must reject keys that are not basis subsets.
@@ -358,6 +378,54 @@ def _rand_coeff(rng):
         re = rng.randint(-3, 3)
     im = rng.randint(-2, 2)
     return GaussRat(Fraction(re, rng.randint(2, 9)), Fraction(im, rng.randint(2, 9)))
+
+
+def _act_oracle(c, vec):
+    """act by the slow route: each term x m of c sends each entry v m_U of
+    vec to v x times the `_apply_monomial` image of U, summed as GaussRat."""
+    sp = c.space
+    w = sp.n if sp.kind == "even" else sp.n - 1
+    acc = {}
+    for u, v in vec.items():
+        for mono, x in c.terms.items():
+            hit = _apply_monomial(w, mono, clifford._mask(u))
+            if hit is not None:
+                sign, m = hit
+                acc[m] = acc.get(m, GaussRat(0)) + v * x * sign
+    return {clifford._mono(m): x for m, x in acc.items() if x}
+
+
+@pytest.mark.parametrize("space", [even_space(n) for n in range(1, 5)]
+                         + [odd_space(n) for n in range(2, 6)],
+                         ids=lambda sp: f"{sp.kind}-{sp.n}")
+def test_act_sums_on_integers_like_the_termwise_walk(space):
+    # act sums the compiled terms' numerators on ints and converts once;
+    # the oracle sums GaussRat images term by term, for elements with
+    # coefficients over different denominators and imaginary parts, the
+    # top generator (f_{2n-1} on the odd space) always among the terms
+    rng = random.Random(80 + space.n + 10 * (space.kind == "odd"))
+    w = space.n if space.kind == "even" else space.n - 1
+    basis = spin_basis(space, "full")
+    for _ in range(20):
+        terms = {(space.dim,): _rand_coeff(rng)}
+        for _ in range(rng.randint(2, 5)):
+            mono = tuple(sorted(rng.sample(range(1, space.dim + 1), rng.randint(0, space.dim))))
+            terms[mono] = _rand_coeff(rng)
+        c = CliffordElement(space, terms)
+        vec = {u: _rand_coeff(rng) for u in rng.sample(basis, min(3, len(basis)))}
+        assert act(c, vec) == _act_oracle(c, vec), (terms, vec)
+    # 1 and e_1 f_1 (f_1 = e_{w+1}) agree on every mask holding bit 1, so
+    # x - x e_1 f_1 cancels there and keeps x on the vacuum
+    x = _rand_coeff(rng)
+    cancel = CliffordElement(space, {(): x, (1, w + 1): -x, (space.dim,): GaussRat(Fraction(1, 3), 2)})
+    vec = {(): GaussRat(Fraction(1, 2)), (1,): GaussRat(0, Fraction(-5, 7))}
+    assert act(CliffordElement(space, {(): x, (1, w + 1): -x}), {(1,): ONE}) == {}
+    assert act(cancel, vec) == _act_oracle(cancel, vec)
+    # a vector's coefficients may be int, Fraction or GaussRat alike
+    for a in (3, -1, 0, Fraction(2, 3)):
+        got = act(cancel, {(): a, (1,): Fraction(a) / 5})
+        assert got == act(cancel, {(): GaussRat(a), (1,): GaussRat(Fraction(a) / 5)})
+        assert got == _act_oracle(cancel, {(): a, (1,): Fraction(a) / 5})
 
 
 def _mixed_element(sp, rng):
